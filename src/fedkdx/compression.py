@@ -1,7 +1,7 @@
 """Energy-thresholded low-rank gradient compression and its wire codec.
 
 Each gradient tensor is treated as a matrix (conv kernels flatten to
-filters x rest), factored with the in-house thin SVD, and truncated at the
+filters x rest), factored with a LAPACK thin SVD, and truncated at the
 smallest rank whose retained squared-singular-value energy strictly exceeds
 the threshold.  A layer is only sent factored when the factor payload is
 strictly smaller than the raw matrix; everything else, including SVD
@@ -16,6 +16,7 @@ then U, sigma, V).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -109,7 +110,6 @@ class GradientPacket:
 
 @dataclass
 class CompressionStats:
-    layers_total: int = 0
     layers_lowrank: int = 0
     svd_fallbacks: int = 0
 
@@ -172,7 +172,6 @@ def compress_gradient(grads: ModelParams, eps: float,
     for layer in grads.layers:
         entry, failed = compress_layer(layer.name, layer.values, eps, policy.wire_precision)
         pkt.entries.append(entry)
-        stats.layers_total += 1
         if entry.mode != MODE_RAW:
             stats.layers_lowrank += 1
         if failed:
@@ -266,7 +265,10 @@ def decode_packet(buf: bytes) -> GradientPacket:
     entries = []
     for i in range(count):
         (name_len,) = struct.unpack("<H", take(2, f"entry {i} name length"))
-        name = take(name_len, f"entry {i} name").decode("utf-8")
+        try:
+            name = take(name_len, f"entry {i} name").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CodecError(f"entry {i}: layer name is not UTF-8: {e}") from e
         mode, prec_code = struct.unpack("<BB", take(2, f"layer {name!r} header"))
         if mode not in (MODE_RAW, MODE_LOWRANK, MODE_LOWRANK_T):
             raise CodecError(f"layer {name!r}: unknown mode {mode}")
@@ -277,7 +279,7 @@ def decode_packet(buf: bytes) -> GradientPacket:
         (ndim,) = struct.unpack("<I", take(4, f"layer {name!r} dim count"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"layer {name!r} dims")) \
             if ndim else ()
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        size = math.prod(shape)  # Python ints: a hostile shape cannot wrap to 0
 
         if mode == MODE_RAW:
             values = np.frombuffer(take(size * dtype.itemsize, f"layer {name!r} values"),

@@ -25,7 +25,7 @@ import numpy as np
 from . import metrics as mt
 from .compression import (CompressionPolicy, CompressionStats, compress_gradient,
                           decode_packet, decompress, dynamic_threshold,
-                          encode_packet, packet_size_bytes, raw_packet)
+                          encode_packet, raw_packet)
 from .linalg import softmax_rows
 from .losses import LossConfig, ROLE_STUDENT, ROLE_TEACHER, ce_batch, combined_loss
 from .nn import Model, ModelParams, backward, forward, params_iadd_scaled

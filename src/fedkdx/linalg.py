@@ -1,9 +1,9 @@
 """Dense float64 kernels shared by the rest of the package.
 
-Everything here operates on plain numpy arrays.  The SVD is a one-sided
-Jacobi orthogonalization (rotations act on columns of the input, never on
-a Gram matrix), preceded by a thin QR factorization for tall inputs so the
-rotation phase runs on a square factor.
+Everything here operates on plain numpy arrays.  The SVD is LAPACK's
+divide-and-conquer driver (``gesdd``) with the QR-iteration driver
+(``gesvd``) as its fallback, and a fixed singular-vector sign convention so
+the factors do not depend on which driver ran.
 """
 
 from __future__ import annotations
@@ -11,38 +11,11 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-
-# Jacobi iteration budget and the relative off-diagonal mass below which a
-# column pair counts as orthogonal.
-MAX_SWEEPS = 60
-OFF_DIAG_TOL = 1e-12
-
-# Columns whose norm falls below sigma_max * this factor are treated as a
-# numerically-zero singular direction and replaced by an orthonormal fill.
-_DEAD_COLUMN_REL = 1e-12
+import scipy.linalg
 
 
 class SvdNonConvergence(RuntimeError):
-    """Sweep budget exhausted before every column pair became orthogonal.
-
-    Carries the best-effort factors plus two residuals: ``residual`` is the
-    worst remaining relative off-diagonal mass (the convergence measure) and
-    ``recon_residual`` the relative Frobenius reconstruction error, so
-    callers can decide whether the partial factorization is still usable.
-    """
-
-    def __init__(self, u: np.ndarray, sigma: np.ndarray, v: np.ndarray,
-                 residual: float, recon_residual: float, sweeps: int):
-        super().__init__(
-            f"jacobi svd did not converge after {sweeps} sweeps "
-            f"(off-diagonal {residual:.3e}, reconstruction {recon_residual:.3e})"
-        )
-        self.u = u
-        self.sigma = sigma
-        self.v = v
-        self.residual = residual
-        self.recon_residual = recon_residual
-        self.sweeps = sweeps
+    """Neither LAPACK driver converged on the matrix."""
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
@@ -82,117 +55,16 @@ def softmax_rows(logits: np.ndarray, tau: float) -> np.ndarray:
     return np.exp(log_softmax_rows(logits, tau))
 
 
-def _round_robin_schedule(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Tournament pairing: n-1 rounds of disjoint pairs covering every
-    unordered column pair exactly once.  Disjointness is what lets each
-    round's rotations apply simultaneously as one vectorized update."""
-    players = list(range(n)) + ([-1] if n % 2 else [])
-    m = len(players)
-    rounds = []
-    for _ in range(m - 1):
-        ii, jj = [], []
-        for k in range(m // 2):
-            a, b = players[k], players[m - 1 - k]
-            if a != -1 and b != -1:
-                ii.append(a)
-                jj.append(b)
-        rounds.append((np.array(ii, dtype=np.intp), np.array(jj, dtype=np.intp)))
-        players = [players[0], players[-1]] + players[1:-1]
-    return rounds
-
-
-def _jacobi_orthogonalize(stack: np.ndarray, top: int,
-                          max_sweeps: int, tol: float) -> bool:
-    """Rotate column pairs of ``stack[:top]`` until every pair is orthogonal
-    to within ``tol`` relative.  Rows below ``top`` (the accumulating right
-    factor) receive the same rotations for free.
-
-    A sweep that applies no rotation certifies convergence exactly, because
-    the skip test is the convergence test.
-    """
-    q = stack.shape[1]
-    if q < 2:
-        return True
-    schedule = _round_robin_schedule(q)
-    for _ in range(max_sweeps):
-        rotated = False
-        for ii, jj in schedule:
-            ci = stack[:, ii]
-            cj = stack[:, jj]
-            alpha = np.einsum("ij,ij->j", ci[:top], ci[:top])
-            beta = np.einsum("ij,ij->j", cj[:top], cj[:top])
-            gamma = np.einsum("ij,ij->j", ci[:top], cj[:top])
-            denom = np.sqrt(alpha * beta)
-            live = denom > 0.0
-            off = np.zeros_like(gamma)
-            np.divide(np.abs(gamma), denom, out=off, where=live)
-            spin = off > tol
-            if not spin.any():
-                continue
-            rotated = True
-            # Rotation angle that zeroes the implicit 2x2 Gram block; the
-            # zeta == 0 branch is the 45-degree case (equal column norms).
-            gsafe = np.where(spin, gamma, 1.0)
-            zeta = (beta - alpha) / (2.0 * gsafe)
-            t = np.sign(zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-            t = np.where(zeta == 0.0, 1.0, t)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            c = np.where(spin, c, 1.0)
-            s = np.where(spin, s, 0.0)
-            stack[:, ii] = c * ci - s * cj
-            stack[:, jj] = s * ci + c * cj
-        if not rotated:
-            return True
-    return False
-
-
-def _worst_off_diagonal(b: np.ndarray) -> float:
-    """Largest |b_i . b_j| / (|b_i| |b_j|) over column pairs.  Only used on
-    the failure path, where forming the small Gram matrix is acceptable."""
-    gram = b.T @ b
-    d = np.sqrt(np.diag(gram))
-    denom = np.outer(d, d)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rel = np.abs(gram) / denom
-    np.fill_diagonal(rel, 0.0)
-    rel = np.where(denom > 0, rel, 0.0)
-    return float(rel.max()) if rel.size else 0.0
-
-
-def _fill_dead_columns(u: np.ndarray, dead: np.ndarray) -> None:
-    """Replace numerically-zero columns of ``u`` with a deterministic
-    orthonormal completion (Gram-Schmidt over canonical basis vectors)."""
-    p = u.shape[0]
-    filled: list[np.ndarray] = [u[:, k] for k in np.flatnonzero(~dead)]
-    pool = 0
-    for k in np.flatnonzero(dead):
-        while True:
-            if pool >= p:
-                raise RuntimeError("orthonormal completion exhausted basis vectors")
-            w = np.zeros(p)
-            w[pool] = 1.0
-            pool += 1
-            for b in filled:
-                w -= (b @ w) * b
-            nrm = np.linalg.norm(w)
-            if nrm > 0.5:  # candidate mostly outside the current span
-                w /= nrm
-                u[:, k] = w
-                filled.append(w)
-                break
-
-
-def thin_svd(g: np.ndarray, max_sweeps: int = MAX_SWEEPS,
-             tol: float = OFF_DIAG_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD of a P x Q matrix with P >= Q via one-sided Jacobi.
+def thin_svd(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD of a P x Q matrix with P >= Q.
 
     Returns (u, sigma, v) with u: P x Q orthonormal columns, sigma: Q
     non-increasing non-negative values, v: Q x Q orthogonal, such that
-    g = u @ diag(sigma) @ v.T.
+    g = u @ diag(sigma) @ v.T.  Each column of u has its largest-magnitude
+    entry positive (the first one on a tie), with the matching column of v
+    flipped alongside.
 
-    Raises SvdNonConvergence when the sweep budget runs out; the exception
-    carries the best factors reached and the achieved residuals.
+    Raises SvdNonConvergence when both LAPACK drivers fail.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2:
@@ -204,47 +76,22 @@ def thin_svd(g: np.ndarray, max_sweeps: int = MAX_SWEEPS,
         raise ValueError("matrix must have at least one column")
     _require_finite(g, "matrix")
 
-    # Tall inputs: orthogonal triangularization first, rotations on the
-    # square factor.  Same singular values and right vectors, much less
-    # arithmetic per rotation.
-    if p > q:
-        carrier, work = np.linalg.qr(g)
-    else:
-        carrier, work = None, g
+    try:
+        u, sigma, vt = _lapack_svd(g, "gesdd")
+    except np.linalg.LinAlgError:
+        try:
+            u, sigma, vt = _lapack_svd(g, "gesvd")
+        except np.linalg.LinAlgError as e:
+            raise SvdNonConvergence(f"svd of a {p}x{q} matrix did not converge: {e}") from e
 
-    # The work matrix and the accumulating right factor share one Fortran
-    # array so each rotation round touches memory once.
-    top = work.shape[0]
-    stack = np.zeros((top + q, q), order="F")
-    stack[:top] = work
-    stack[top:] = np.eye(q)
-    converged = _jacobi_orthogonalize(stack, top, max_sweeps, tol)
-    work = stack[:top]
-    v = stack[top:]
+    pivot = np.abs(u).argmax(axis=0)
+    signs = np.where(u[pivot, np.arange(q)] < 0, -1.0, 1.0)
+    return u * signs, sigma, vt.T * signs
 
-    norms = np.linalg.norm(work, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    sigma = norms[order]
-    work = work[:, order]
-    v = np.ascontiguousarray(v[:, order])
 
-    cutoff = sigma[0] * _DEAD_COLUMN_REL if sigma[0] > 0 else 0.0
-    dead = sigma <= cutoff
-    u_small = np.zeros((top, q))
-    live = ~dead
-    if live.any():
-        u_small[:, live] = work[:, live] / sigma[live]
-    _fill_dead_columns(u_small, dead)
-
-    u = carrier @ u_small if carrier is not None else u_small
-
-    if not converged:
-        off = _worst_off_diagonal(work)
-        recon = (u * sigma) @ v.T
-        ref = np.linalg.norm(g)
-        rec_res = float(np.linalg.norm(recon - g) / ref) if ref > 0 else 0.0
-        raise SvdNonConvergence(u, sigma, v, off, rec_res, max_sweeps)
-    return u, sigma, v
+def _lapack_svd(g: np.ndarray, driver: str):
+    return scipy.linalg.svd(g, full_matrices=False, lapack_driver=driver,
+                            check_finite=False)
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray,

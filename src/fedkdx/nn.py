@@ -11,6 +11,7 @@ compression codec and the server aggregation operate on.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -496,6 +497,12 @@ class _Reader:
         self.pos += n
         return chunk
 
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{what} is not UTF-8: {e}") from e
+
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
@@ -508,7 +515,7 @@ def load_checkpoint(path: str) -> Model:
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
     (arch_len,) = r.unpack("<H")
-    arch = r.take(arch_len).decode("utf-8")
+    arch = r.text(arch_len, "architecture tag")
     (meta_len,) = r.unpack("<I")
     try:
         meta = json.loads(r.take(meta_len).decode("utf-8"))
@@ -519,10 +526,10 @@ def load_checkpoint(path: str) -> Model:
     bn: dict[str, np.ndarray] = {}
     for _ in range(n_records):
         kind, name_len = r.unpack("<BH")
-        name = r.take(name_len).decode("utf-8")
+        name = r.text(name_len, "layer name")
         (ndim,) = r.unpack("<B")
         dims = r.unpack(f"<{ndim}I") if ndim else ()
-        count = int(np.prod(dims)) if dims else 1
+        count = math.prod(dims)  # Python ints: a hostile shape cannot wrap to 0
         values = np.frombuffer(r.take(count * 8), dtype="<f8").reshape(dims).copy()
         if kind == 0:
             layers.append(LayerParam(name, values))
@@ -549,7 +556,7 @@ def _validate_structure(model: Model) -> None:
             ref = build_mlp(m["in_dim"], m["num_classes"], seed=0)
         else:
             raise CheckpointError(f"unknown architecture {model.params.arch!r}")
-    except (KeyError, ArchitectureError) as e:
+    except (KeyError, TypeError, ArchitectureError) as e:
         raise CheckpointError(f"inconsistent checkpoint meta: {e}") from e
     got = [(l.name, l.shape) for l in model.params.layers]
     want = [(l.name, l.shape) for l in ref.params.layers]

@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,6 @@ from fedkdx.compression import (
     raw_packet,
     select_rank,
 )
-from fedkdx.linalg import SvdNonConvergence
 from fedkdx.nn import LayerParam, ModelParams
 
 
@@ -158,11 +158,10 @@ def test_energy_bound_holds_per_entry():
 
 
 def test_svd_failure_falls_back_to_raw(monkeypatch):
-    def explode(g, **kw):
-        z = np.zeros(g.shape[1])
-        raise SvdNonConvergence(np.zeros(g.shape), z, np.zeros((g.shape[1],) * 2),
-                                1.0, 1.0, 0)
-    monkeypatch.setattr(cp, "thin_svd", explode)
+    def explode(a, **kw):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    # both LAPACK drivers fail, so thin_svd raises SvdNonConvergence
+    monkeypatch.setattr(scipy.linalg, "svd", explode)
     g = np.random.default_rng(2).normal(size=(20, 4))
     pkt, stats = compress_gradient(grads_of([g, np.arange(3.0)]), 0.9,
                                    CompressionPolicy(wire_precision="f64"))
@@ -261,6 +260,22 @@ def test_decode_rejects_bad_mode_and_rank():
     lr_blob[rank_at:rank_at + 4] = struct.pack("<I", 1000)
     with pytest.raises(CodecError):
         decode_packet(bytes(lr_blob))
+
+
+def test_decode_rejects_oversize_shape_and_non_utf8_name():
+    # four dims of 65536: their element count wraps to 0 in int64
+    huge = struct.pack("<I", 4) + struct.pack("<4I", *(65536,) * 4)
+    for mode, tail in ((MODE_RAW, b""), (MODE_LOWRANK, struct.pack("<I", 1))):
+        blob = (cp.PACKET_MAGIC + struct.pack("<I", 1) + struct.pack("<H", 1) + b"w"
+                + struct.pack("<BB", mode, 0) + huge + tail)
+        with pytest.raises(CodecError, match="truncated"):
+            decode_packet(blob)
+
+    blob = bytearray(encode_packet(raw_packet(grads_of([np.ones((2, 2))]),
+                                              CompressionPolicy())))
+    blob[14] = 0xFF  # first byte of the layer name
+    with pytest.raises(CodecError, match="UTF-8"):
+        decode_packet(bytes(blob))
 
 
 @settings(max_examples=30)

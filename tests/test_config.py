@@ -2,10 +2,13 @@ import copy
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fedkdx
 from fedkdx.cli import main
 from fedkdx.config import (ConfigError, DEFAULT_JOIN_SWEEP, config_from_dict,
                            load_config)
@@ -281,6 +284,26 @@ def test_cli_seed_override_changes_the_run(tmp_path):
     assert read("a") != read("c")
     with open(tmp_path / "c" / "summary.json") as fh:
         assert json.load(fh)["config"]["seed"] == 9
+
+
+def test_blas_thread_count_does_not_change_the_run(tmp_path):
+    # 128 input dims make fc1.w a 128x64 matrix, large enough for OpenBLAS
+    # to split its products and SVDs across threads
+    dataset = {**SMALL_SYNTH, "dims": 128, "samples_per_class": 200}
+    cfg_path = write_yaml(tmp_path, fast_raw(rounds=6, dataset=dataset))
+    src = os.path.dirname(os.path.dirname(fedkdx.__file__))
+    outs = []
+    for blas in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": blas,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / f"blas{blas}"
+        subprocess.run([sys.executable, "-m", "fedkdx.cli", "run", "--config", cfg_path,
+                        "--out", str(out)], env=env, check=True, timeout=300,
+                       capture_output=True)
+        outs.append((out / "metrics.csv").read_bytes())
+    assert outs[0] == outs[1]
+    assert outs[0].count(b"\n") == 7
 
 
 def test_cli_threads_flag(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,7 +77,7 @@ def test_thin_svd_zero_matrix():
     g = np.zeros((5, 3))
     u, s, v = thin_svd(g)
     assert np.all(s == 0.0)
-    # dead columns are still filled with an orthonormal basis
+    # a zero spectrum still comes with an orthonormal basis
     assert np.linalg.norm(u.T @ u - np.eye(3)) <= 1e-10
 
 
@@ -87,15 +88,50 @@ def test_thin_svd_rejects_wide_and_nonfinite():
         thin_svd(np.array([[1.0], [np.nan]]))
 
 
-def test_thin_svd_nonconvergence_carries_partial_factors():
+_SCIPY_SVD = scipy.linalg.svd
+
+
+def failing_driver(monkeypatch, failing):
+    """Make scipy's SVD raise for the named LAPACK drivers; returns the
+    list of drivers thin_svd asked for."""
+    asked = []
+
+    def svd(a, **kw):
+        asked.append(kw["lapack_driver"])
+        if kw["lapack_driver"] in failing:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return _SCIPY_SVD(a, **kw)
+    monkeypatch.setattr(scipy.linalg, "svd", svd)
+    return asked
+
+
+def test_thin_svd_falls_back_to_gesvd_then_raises(monkeypatch):
     g = np.random.default_rng(0).normal(size=(8, 4))
-    with pytest.raises(SvdNonConvergence) as info:
-        thin_svd(g, max_sweeps=0)
-    e = info.value
-    assert e.u.shape == (8, 4) and e.sigma.shape == (4,) and e.v.shape == (4, 4)
-    assert e.residual > 0.0
-    assert e.sweeps == 0
-    assert "did not converge" in str(e)
+    asked = failing_driver(monkeypatch, {"gesdd"})
+    u, s, v = thin_svd(g)
+    assert asked == ["gesdd", "gesvd"]
+    check_factorization(g, u, s, v)
+
+    asked = failing_driver(monkeypatch, {"gesdd", "gesvd"})
+    with pytest.raises(SvdNonConvergence, match="did not converge"):
+        thin_svd(g)
+    assert asked == ["gesdd", "gesvd"]
+
+
+def test_thin_svd_sign_convention_is_driver_independent(monkeypatch):
+    rng = np.random.default_rng(13)
+    mats = [rng.normal(size=(30, 7)), rng.normal(size=(9, 9)),
+            rng.normal(size=(40, 3)) * np.logspace(-3, 3, 3)]
+    default = [thin_svd(g) for g in mats]
+    failing_driver(monkeypatch, {"gesdd"})
+    for g, (u, s, v) in zip(mats, default):
+        q = g.shape[1]
+        pivot = np.abs(u).argmax(axis=0)
+        assert np.all(u[pivot, np.arange(q)] > 0)
+        u2, s2, v2 = thin_svd(g)
+        assert np.allclose(u2, u, atol=1e-10)
+        assert np.allclose(s2, s, rtol=1e-12)
+        assert np.allclose(v2, v, atol=1e-10)
 
 
 @settings(max_examples=40)

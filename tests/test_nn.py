@@ -1,4 +1,5 @@
 import copy
+import struct
 
 import numpy as np
 import pytest
@@ -290,3 +291,30 @@ def test_checkpoint_rejects_corruption(tmp_path):
     open(renamed, "wb").write(raw.replace(b"fc1.w", b"fc9.w", 1))
     with pytest.raises(CheckpointError):
         load_checkpoint(renamed)
+
+
+def test_checkpoint_rejects_oversize_dims_and_malformed_text(tmp_path):
+    model = build_mlp(4, 3, seed=0)
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(model, path)
+    raw = open(path, "rb").read()
+    # magic 8, arch u16 + tag, meta u32 + block, record count u32
+    arch_len = struct.unpack("<H", raw[8:10])[0]
+    meta_at = 10 + arch_len
+    meta_len = struct.unpack("<I", raw[meta_at:meta_at + 4])[0]
+    first_record = meta_at + 4 + meta_len + 4
+
+    cases = {
+        # four dims of 65536: their element count wraps to 0 in int64
+        "huge": raw[:first_record] + struct.pack("<BH", 0, 5) + b"fc1.w"
+                + struct.pack("<B4I", 4, *(65536,) * 4),
+        "arch": raw[:10] + b"\xff" + raw[11:],
+        "name": raw.replace(b"fc1.w", b"\xffc1.w", 1),
+        # a meta block that parses but is not an object
+        "meta": raw[:meta_at] + struct.pack("<I", 2) + b"[]" + raw[meta_at + 4 + meta_len:],
+    }
+    for label, blob in cases.items():
+        bad = str(tmp_path / f"{label}.ckpt")
+        open(bad, "wb").write(blob)
+        with pytest.raises(CheckpointError, match="truncated|UTF-8|meta"):
+            load_checkpoint(bad)
