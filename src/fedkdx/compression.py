@@ -35,8 +35,6 @@ _PRECISION_CODE = {"f32": 0, "f64": 1}
 _PRECISION_NAME = {v: k for k, v in _PRECISION_CODE.items()}
 _WIRE_DTYPE = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 
-RHO_ROUND_FRACTION = "round_fraction"
-
 
 class CodecError(ValueError):
     """Packet bytes are malformed."""
@@ -46,15 +44,12 @@ class CodecError(ValueError):
 class CompressionPolicy:
     eps_start: float = 0.9
     eps_end: float = 0.9
-    rho_source: str = RHO_ROUND_FRACTION
     wire_precision: str = "f32"
 
     def __post_init__(self):
         for label, v in (("eps_start", self.eps_start), ("eps_end", self.eps_end)):
             if not (0.0 < v <= 1.0):
                 raise ValueError(f"{label} must lie in (0, 1], got {v}")
-        if self.rho_source != RHO_ROUND_FRACTION:
-            raise ValueError(f"unknown rho_source {self.rho_source!r}")
         if self.wire_precision not in _WIRE_DTYPE:
             raise ValueError(f"wire_precision must be f32 or f64, got {self.wire_precision!r}")
 

@@ -65,7 +65,7 @@ def build_experiment(cfg: RunConfig) -> Experiment:
         clients[cid] = fed.ClientState(
             client_id=cid,
             teacher=make_model(fed.derive_seed(cfg.seed, fed.STREAM_TEACHER_INIT, cid)),
-            student_view=student.copy(),
+            student_view=student,
             x_train=x, y_train=y,
             rng=fed.derive_rng(cfg.seed, fed.STREAM_CLIENT, cid),
             teacher_lr=cfg.lr_teacher, student_lr=cfg.lr_student,
@@ -84,7 +84,7 @@ def build_experiment(cfg: RunConfig) -> Experiment:
         loss_cfg = dataclasses.replace(loss_cfg, enable_nkd=False, enable_ctl=False)
 
     server = fed.ServerState(
-        student=student.copy(), strategy=cfg.strategy, policy=cfg.policy(),
+        student=student, strategy=cfg.strategy, policy=cfg.policy(),
         total_rounds=cfg.rounds, join_ratio=cfg.join_ratio,
         student_lr=cfg.lr_student, compress=cfg.compress,
         fedprox_mu=cfg.fedprox_mu, local_epochs=cfg.local_epochs,

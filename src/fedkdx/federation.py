@@ -3,15 +3,16 @@
 One round: sample participants, run each one's local step (mutual
 distillation for the distilling strategies, plain local SGD for the
 averaging ones), ship the results uplink through the packet codec,
-aggregate on the server, ship the aggregate back downlink, and have every
-client apply it.  The server and all clients therefore hold bitwise
-identical copies of the shared student at every round boundary, because
-everyone applies the decoded downlink bytes rather than any private
-intermediate.
+aggregate on the server, and ship the aggregate back downlink.  The server
+and every client share one student model.  The server updates it once per
+round with the reconstruction of the downlink bytes, which is exactly what
+a client decoding those bytes would apply, so one copy stands for all.
 
-Clients inside a round may execute on a thread pool; each owns its state
-exclusively and the aggregation order is fixed by client id, so results
-are independent of thread count.
+Clients inside a round may execute on a thread pool.  Each owns its
+teacher and rng exclusively and only reads the shared student: evaluation
+mode forward and backward do not mutate it, and the averaging strategies
+train on a private copy.  The aggregation order is fixed by client id, so
+results are independent of thread count.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class RoundError(RuntimeError):
 class ClientState:
     client_id: int
     teacher: Model                  # private; never serialized
-    student_view: Model             # this client's copy of the shared student
+    student_view: Model             # the shared student; read-only here
     x_train: np.ndarray
     y_train: np.ndarray
     rng: np.random.Generator        # minibatch shuffles, owned exclusively
@@ -140,7 +141,7 @@ def client_local_step_fedkdx(state: ClientState, student: Model,
     """One local pass of mutual distillation.
 
     Per minibatch: forward teacher (training mode) and student (evaluation
-    mode, so its normalization state never drifts from the shared copy),
+    mode, so the shared student's normalization state is never touched),
     step the teacher by its own loss, and accumulate the student's gradient
     against the teacher outputs from before that step.  The teacher mutates
     in place; the student is read-only here, its update arrives downlink.
@@ -233,8 +234,8 @@ def server_aggregate(blobs: list[tuple[int, bytes]], server: ServerState,
     Distilling strategies average gradients unweighted and descend by the
     student rate; averaging strategies blend parameter deltas by the given
     weights and add the blend directly.  In both cases what the server
-    applies is the reconstruction of the downlink packet itself, so clients
-    applying the same bytes land on exactly the same parameters.
+    applies is the reconstruction of the downlink packet itself, so a client
+    applying the same bytes would land on exactly the same parameters.
     """
     if not blobs:
         raise RoundError("no uplink packets to aggregate")
@@ -255,15 +256,9 @@ def server_aggregate(blobs: list[tuple[int, bytes]], server: ServerState,
     down_blob = encode_packet(down_pkt)
 
     applied = decompress(decode_packet(down_blob), template)
-    _apply_downlink(server.student.params, applied, server)
+    scale = -server.student_lr if server.strategy in _DISTILLING else 1.0
+    params_iadd_scaled(server.student.params, applied, scale)
     return down_blob, down_stats
-
-
-def _apply_downlink(params: ModelParams, applied: ModelParams, server: ServerState) -> None:
-    if server.strategy in _DISTILLING:
-        params_iadd_scaled(params, applied, -server.student_lr)
-    else:
-        params_iadd_scaled(params, applied, 1.0)
 
 
 EVAL_CHUNK = 512
@@ -318,9 +313,6 @@ def run_round(server: ServerState, clients: dict[int, ClientState], cfg: LossCon
     fallbacks += down_stats.svd_fallbacks
 
     # every client receives the broadcast, participant or not
-    applied = decompress(decode_packet(down_blob), server.student.params.zeros_like())
-    for state in clients.values():
-        _apply_downlink(state.student_view.params, applied, server)
     bytes_down = len(down_blob) * len(clients)
 
     scores = evaluate(server.student, eval_x, eval_y)

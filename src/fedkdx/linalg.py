@@ -23,22 +23,6 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite (found NaN or Inf)")
 
 
-def softmax_temp(logits: np.ndarray, tau: float) -> np.ndarray:
-    """Temperature-scaled softmax of a 1-D logit vector.
-
-    The max shift happens before the temperature division so that huge
-    logits cannot overflow on the way in.
-    """
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1 or z.size == 0:
-        raise ValueError("logits must be a non-empty 1-D vector")
-    _require_finite(z, "logits")
-    if not tau > 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    s = np.exp((z - z.max()) / tau)
-    return s / s.sum()
-
-
 def log_softmax_rows(logits: np.ndarray, tau: float) -> np.ndarray:
     """Row-wise log softmax at temperature tau for a (B, C) array."""
     z = np.asarray(logits, dtype=np.float64)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import log_softmax_rows, softmax_rows
+from .linalg import log_softmax_rows
 
 # Probabilities are clamped here before any log on the renormalized
 # non-target masses; far below every gradient-check tolerance.
@@ -83,10 +83,10 @@ def _ce_rows(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.nda
     return values, grads
 
 
-def _kd_rows(own: np.ndarray, peer: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row tau^2-scaled KL(peer || own); peer is a constant reference."""
-    log_own = log_softmax_rows(own, tau)
-    log_peer = log_softmax_rows(peer, tau)
+def _kd_rows(log_own: np.ndarray, log_peer: np.ndarray,
+             tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row tau^2-scaled KL(peer || own) from the tempered log-softmaxes
+    of both sides; peer is a constant reference."""
     p_peer = np.exp(log_peer)
     contrib = np.where(p_peer > 0.0, p_peer * (log_peer - log_own), 0.0)
     values = tau * tau * contrib.sum(axis=1)
@@ -94,16 +94,15 @@ def _kd_rows(own: np.ndarray, peer: np.ndarray, tau: float) -> tuple[np.ndarray,
     return values, grads
 
 
-def _nkd_rows(own: np.ndarray, peer: np.ndarray, labels: np.ndarray,
+def _nkd_rows(log_own: np.ndarray, log_peer: np.ndarray, labels: np.ndarray,
               tau: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-row decoupled distillation: a target-confidence term plus a
     tau^2-scaled cross entropy between the renormalized non-target masses
-    of peer and own distributions."""
-    b, c = own.shape
+    of peer and own distributions, given their tempered log-softmaxes."""
+    b, c = log_own.shape
     rows = np.arange(b)
-    log_own = log_softmax_rows(own, tau)
     p_own = np.exp(log_own)
-    p_peer = softmax_rows(peer, tau)
+    p_peer = np.exp(log_peer)
 
     pt_target = p_peer[rows, labels]
     log_ps_target = log_own[rows, labels]
@@ -167,7 +166,8 @@ def kd_loss(own_logits, peer_logits, tau: float, direction: str) -> tuple[float,
     peer = _as_logit_rows(peer_logits, "peer_logits")
     if own.shape != peer.shape or own.shape[0] != 1:
         raise ValueError("kd_loss takes two logit vectors of equal length")
-    values, grads = _kd_rows(own, peer, tau)
+    values, grads = _kd_rows(log_softmax_rows(own, tau), log_softmax_rows(peer, tau),
+                             tau)
     return float(values[0]), grads[0]
 
 
@@ -185,7 +185,8 @@ def nkd_loss(own_logits, peer_logits, target, tau: float, gamma: float) -> tuple
     if own.shape[1] < 2:
         raise ValueError("nkd_loss needs at least two classes")
     y = _check_labels(target, own.shape[1])
-    values, grads = _nkd_rows(own, peer, y, tau, gamma)
+    values, grads = _nkd_rows(log_softmax_rows(own, tau), log_softmax_rows(peer, tau),
+                              y, tau, gamma)
     return float(values[0]), grads[0]
 
 
@@ -257,15 +258,17 @@ def combined_loss(role: str, own_logits, peer_logits, own_feats, peer_feats,
     if y.shape[0] != b:
         raise ValueError(f"expected {b} labels, got {y.shape[0]}")
 
+    log_own = log_softmax_rows(own, cfg.tau)
+    log_peer = log_softmax_rows(peer, cfg.tau)
     ce_vals, ce_grads = _ce_rows(own, y)
-    kd_vals, kd_grads = _kd_rows(own, peer, cfg.tau)
+    kd_vals, kd_grads = _kd_rows(log_own, log_peer, cfg.tau)
     value = ce_vals.mean() + cfg.kd_weight * kd_vals.mean()
     grad_logits = (ce_grads + cfg.kd_weight * kd_grads) / b
 
     if cfg.enable_nkd:
         if own.shape[1] < 2:
             raise ValueError("nkd term needs at least two classes")
-        nkd_vals, nkd_grads = _nkd_rows(own, peer, y, cfg.tau, cfg.gamma)
+        nkd_vals, nkd_grads = _nkd_rows(log_own, log_peer, y, cfg.tau, cfg.gamma)
         value += cfg.nkd_weight * nkd_vals.mean()
         grad_logits += cfg.nkd_weight * nkd_grads / b
 

@@ -102,9 +102,6 @@ class ModelParams:
         return ModelParams(self.arch, [LayerParam(l.name, np.zeros_like(l.values))
                                        for l in self.layers], dict(self.meta))
 
-    def num_values(self) -> int:
-        return sum(l.values.size for l in self.layers)
-
 
 def params_iadd_scaled(dst: ModelParams, src: ModelParams, scale: float) -> None:
     """dst += scale * src, layer by layer, in place."""
@@ -112,18 +109,6 @@ def params_iadd_scaled(dst: ModelParams, src: ModelParams, scale: float) -> None
         raise ValueError("parameter structures differ")
     for a, b in zip(dst.layers, src.layers):
         a.values += scale * b.values
-
-
-def params_mean(items: list[ModelParams]) -> ModelParams:
-    """Unweighted layer-wise mean; iteration order is the caller's order."""
-    if not items:
-        raise ValueError("nothing to average")
-    acc = items[0].zeros_like()
-    for it in items:
-        params_iadd_scaled(acc, it, 1.0)
-    for l in acc.layers:
-        l.values /= len(items)
-    return acc
 
 
 @dataclass
@@ -545,17 +530,37 @@ def load_checkpoint(path: str) -> Model:
     return model
 
 
+def _meta_dims(arch: str, m: dict) -> dict[tuple[str, int], int]:
+    """The record axes whose sizes the meta block fixes, as
+    (layer name, axis) -> size; integer arithmetic only."""
+    if arch == ARCH_CNN:
+        flat = cnn_shape_walk(m["in_channels"], m["in_length"])["flat"]
+        return {("conv1.w", 1): m["in_channels"], ("fc1.w", 0): flat,
+                ("head.w", 1): m["num_classes"]}
+    if arch == ARCH_MLP:
+        return {("fc1.w", 0): m["in_dim"], ("head.w", 1): m["num_classes"]}
+    raise CheckpointError(f"unknown architecture {arch!r}")
+
+
 def _validate_structure(model: Model) -> None:
     """Rebuild a skeleton from the stored meta and compare layer layout;
-    catches structurally corrupt files with intact framing."""
+    catches structurally corrupt files with intact framing.
+
+    The meta dims are first checked against the shapes of the records
+    already read, so the skeleton is never larger than the file itself.
+    """
     m = model.params.meta
+    shapes = {l.name: l.shape for l in model.params.layers}
     try:
+        for (name, axis), size in _meta_dims(model.params.arch, m).items():
+            if len(shapes.get(name, ())) <= axis or shapes[name][axis] != size:
+                raise CheckpointError(
+                    f"checkpoint meta does not match layer {name!r}: "
+                    f"axis {axis} should be {size}, shape is {shapes.get(name)}")
         if model.params.arch == ARCH_CNN:
             ref = build_cnn_har(m["in_channels"], m["in_length"], m["num_classes"], seed=0)
-        elif model.params.arch == ARCH_MLP:
-            ref = build_mlp(m["in_dim"], m["num_classes"], seed=0)
         else:
-            raise CheckpointError(f"unknown architecture {model.params.arch!r}")
+            ref = build_mlp(m["in_dim"], m["num_classes"], seed=0)
     except (KeyError, TypeError, ArchitectureError) as e:
         raise CheckpointError(f"inconsistent checkpoint meta: {e}") from e
     got = [(l.name, l.shape) for l in model.params.layers]

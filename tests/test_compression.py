@@ -58,8 +58,6 @@ def test_policy_validation():
         CompressionPolicy(eps_end=1.5)
     with pytest.raises(ValueError):
         CompressionPolicy(wire_precision="f16")
-    with pytest.raises(ValueError):
-        CompressionPolicy(rho_source="wall_clock")
 
 
 def test_select_rank_pinned():

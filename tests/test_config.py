@@ -152,9 +152,9 @@ def test_build_gives_every_client_its_own_teacher():
     for i in range(len(teachers)):
         for j in range(i + 1, len(teachers)):
             assert not np.array_equal(teachers[i], teachers[j])
-    server_flat = exp.server.student.params.flatten()
+    # one student, shared by the server and every client
     for st in exp.clients.values():
-        assert np.array_equal(st.student_view.params.flatten(), server_flat)
+        assert st.student_view is exp.server.student
     assert exp.num_classes == 3
     # default split keeps a fifth of each shard for evaluation
     assert len(exp.eval_y) == 36

@@ -1,10 +1,12 @@
 import copy
+import sys
 
 import numpy as np
 import pytest
 
 from fedkdx import federation as fed
-from fedkdx.compression import CompressionPolicy, encode_packet, raw_packet
+from fedkdx.compression import (MODE_RAW, CompressionPolicy, decode_packet, decompress,
+                                encode_packet, raw_packet)
 from fedkdx.federation import (
     STRATEGY_FEDAVG,
     STRATEGY_FEDKDX,
@@ -23,7 +25,8 @@ from fedkdx.federation import (
 )
 from fedkdx.linalg import finite_diff_grad, softmax_rows
 from fedkdx.losses import LossConfig, ROLE_STUDENT, combined_loss
-from fedkdx.nn import LayerParam, ModelParams, build_mlp, forward
+from fedkdx.nn import (LayerParam, ModelParams, build_cnn_har, build_mlp, forward,
+                       params_iadd_scaled)
 from helpers import make_experiment, params_equal, rel_err
 
 
@@ -271,16 +274,70 @@ def test_server_state_validation():
 
 # ------------------------------------------------------------------- rounds
 
-def test_round_keeps_every_view_equal_to_the_server():
-    exp = make_experiment(rounds=4)
-    for _ in range(4):
-        rec = run_round(exp.server, exp.clients, exp.loss_cfg,
-                        exp.eval_x, exp.eval_y, measure_time=False)
-    server_flat = exp.server.student.params.flatten()
-    for st in exp.clients.values():
-        assert np.array_equal(st.student_view.params.flatten(), server_flat)
-    assert rec.round == 4
-    assert exp.server.round_index == 5
+def test_round_keeps_one_shared_student():
+    # more client threads than cores, switching often, all reading the one
+    # student: the result must match the serial run bit for bit
+    for strategy in (STRATEGY_FEDKDX, STRATEGY_FEDAVG):
+        serial = make_experiment(strategy=strategy, rounds=4)
+        for _ in range(4):
+            run_round(serial.server, serial.clients, serial.loss_cfg,
+                      serial.eval_x, serial.eval_y, measure_time=False)
+        exp = make_experiment(strategy=strategy, rounds=4)
+        student = exp.server.student
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(4):
+                rec = run_round(exp.server, exp.clients, exp.loss_cfg,
+                                exp.eval_x, exp.eval_y, threads=4, measure_time=False)
+        finally:
+            sys.setswitchinterval(interval)
+        assert exp.server.student is student
+        for st in exp.clients.values():
+            assert st.student_view is student
+        assert params_equal(student.params, serial.server.student.params)
+        assert rec.round == 4
+        assert exp.server.round_index == 5
+
+
+@pytest.mark.parametrize("strategy,compress", [("FEDKDX", True), ("FEDAVG", False)])
+def test_client_decode_of_the_downlink_reproduces_the_server(strategy, compress):
+    exp = make_experiment(strategy=strategy, compress=compress, rounds=2,
+                          eps_start=0.7, eps_end=0.7)
+    server = exp.server
+    before = server.student.copy()
+    blobs = [(cid, fed._client_uplink(st, server, exp.loss_cfg, 0.7)[0])
+             for cid, st in exp.clients.items()]
+    down, _ = server_aggregate(blobs, server, 0.7)
+
+    # what a client holding its own copy would do with the broadcast bytes
+    pkt = decode_packet(down)
+    update = decompress(pkt, before.params.zeros_like())
+    scale = -server.student_lr if strategy == STRATEGY_FEDKDX else 1.0
+    params_iadd_scaled(before.params, update, scale)
+    assert params_equal(before.params, server.student.params)
+    if compress:
+        assert any(e.mode != MODE_RAW for e in pkt.entries)
+
+
+def test_client_steps_leave_the_shared_student_untouched():
+    rng = np.random.default_rng(5)
+    student = build_cnn_har(2, 28, 3, seed=1)
+    # non-trivial running statistics, so an accidental update would show
+    forward(student, rng.normal(size=(8, 2, 28)), "train")
+    st = ClientState(client_id=0, teacher=build_cnn_har(2, 28, 3, seed=2),
+                     student_view=student, x_train=rng.normal(size=(10, 2, 28)),
+                     y_train=rng.integers(0, 3, size=10),
+                     rng=np.random.default_rng(6), teacher_lr=0.05,
+                     student_lr=0.05, batch_size=4)
+    snapshot = student.copy()
+    client_local_step_fedkdx(st, st.student_view, loss_cfg())
+    client_local_step_fedavg(st, prox_mu=0.1, epochs=2)
+    assert st.student_view is student
+    assert params_equal(student.params, snapshot.params)
+    assert sorted(student.bn) == sorted(snapshot.bn)
+    for k in snapshot.bn:
+        assert np.array_equal(student.bn[k], snapshot.bn[k])
 
 
 def test_round_records_byte_counts_from_the_codec():
@@ -318,16 +375,6 @@ def test_thread_count_does_not_change_the_trajectory():
                                  measure_time=False))
         records[threads] = out
     assert records[1] == records[4]
-
-
-def test_compressed_round_still_syncs_views():
-    exp = make_experiment(rounds=2, compress=True, eps_start=0.7, eps_end=0.7)
-    rec = run_round(exp.server, exp.clients, exp.loss_cfg,
-                    exp.eval_x, exp.eval_y, measure_time=False)
-    server_flat = exp.server.student.params.flatten()
-    for st in exp.clients.values():
-        assert np.array_equal(st.student_view.params.flatten(), server_flat)
-    assert rec.bytes_up > 0
 
 
 def test_fedprox_and_fedavg_rounds_diverge_only_through_mu():

@@ -1,5 +1,7 @@
 import copy
+import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from fedkdx.nn import (
     forward,
     load_checkpoint,
     params_iadd_scaled,
-    params_mean,
     save_checkpoint,
 )
 from fedkdx.nn import _conv1d, _maxpool2  # noqa: F401 - oracle targets
@@ -34,13 +35,13 @@ def small_cnn(seed=0, num_classes=3):
 
 def test_cnn_har_parameter_count_pinned():
     model = build_cnn_har(in_channels=9, in_length=128, num_classes=6, seed=0)
-    assert model.params.num_values() == 481222
+    assert model.params.flatten().size == 481222
 
 
 def test_mlp_parameter_count():
     model = build_mlp(in_dim=6, num_classes=3, seed=0)
     # 6*64+64 + 64*32+32 + 32*3+3
-    assert model.params.num_values() == 2627
+    assert model.params.flatten().size == 2627
 
 
 def test_shape_walk_pinned_for_har_geometry():
@@ -83,23 +84,21 @@ def test_duplicate_layer_names_rejected():
 def test_flatten_unflatten_roundtrip():
     params = build_mlp(4, 3, seed=1).params
     vec = params.flatten()
-    assert vec.shape == (params.num_values(),)
+    assert vec.shape == (sum(l.values.size for l in params.layers),)
     back = params.unflatten(vec)
     assert params_equal(params, back)
     with pytest.raises(ValueError):
         params.unflatten(vec[:-1])
 
 
-def test_params_mean_and_iadd():
+def test_params_iadd_scaled():
     a = build_mlp(4, 3, seed=1).params
     b = build_mlp(4, 3, seed=2).params
-    m = params_mean([a, b])
-    assert np.allclose(m.flatten(), (a.flatten() + b.flatten()) / 2, atol=1e-15)
     c = a.copy()
     params_iadd_scaled(c, b, -0.5)
     assert np.allclose(c.flatten(), a.flatten() - 0.5 * b.flatten(), atol=1e-15)
     with pytest.raises(ValueError):
-        params_mean([])
+        params_iadd_scaled(c, ModelParams("mlp", [LayerParam("x", np.zeros(1))]), 1.0)
 
 
 def test_model_copy_is_independent():
@@ -304,6 +303,10 @@ def test_checkpoint_rejects_oversize_dims_and_malformed_text(tmp_path):
     meta_len = struct.unpack("<I", raw[meta_at:meta_at + 4])[0]
     first_record = meta_at + 4 + meta_len + 4
 
+    def with_in_dim(n):
+        meta = json.dumps({**model.params.meta, "in_dim": n}).encode()
+        return raw[:meta_at] + struct.pack("<I", len(meta)) + meta + raw[meta_at + 4 + meta_len:]
+
     cases = {
         # four dims of 65536: their element count wraps to 0 in int64
         "huge": raw[:first_record] + struct.pack("<BH", 0, 5) + b"fc1.w"
@@ -312,9 +315,23 @@ def test_checkpoint_rejects_oversize_dims_and_malformed_text(tmp_path):
         "name": raw.replace(b"fc1.w", b"\xffc1.w", 1),
         # a meta block that parses but is not an object
         "meta": raw[:meta_at] + struct.pack("<I", 2) + b"[]" + raw[meta_at + 4 + meta_len:],
+        # meta dims that no record carries must not size an allocation
+        "in_dim": with_in_dim(10**12),
     }
     for label, blob in cases.items():
         bad = str(tmp_path / f"{label}.ckpt")
         open(bad, "wb").write(blob)
         with pytest.raises(CheckpointError, match="truncated|UTF-8|meta"):
             load_checkpoint(bad)
+
+    # rejecting a large meta dim costs about the file's size, not the dim's
+    bad = str(tmp_path / "wide.ckpt")
+    open(bad, "wb").write(with_in_dim(200000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="meta"):
+            load_checkpoint(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
