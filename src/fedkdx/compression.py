@@ -9,9 +9,9 @@ non-convergence, falls back to a raw entry so a round never aborts.
 
 The byte format is fixed and bit-exact: magic ``FKDG0001``, u32 entry
 count, then per entry a u16-length-prefixed UTF-8 name, u8 mode, u8
-precision, u32 dim count + u32 dims (original tensor shape), and the
-payload in little-endian row-major order (low-rank payloads carry u32 R,
-then U, sigma, V).
+precision, u32 dim count (at most 64) + u32 dims (original tensor shape),
+and the payload in little-endian row-major order (low-rank payloads carry
+u32 R, then U, sigma, V).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import SvdNonConvergence, thin_svd
-from .nn import LayerParam, ModelParams
+from .nn import MAX_DIMS, LayerParam, ModelParams
 
 PACKET_MAGIC = b"FKDG0001"
 
@@ -103,12 +103,6 @@ class GradientPacket:
     entries: list[PacketEntry] = field(default_factory=list)
 
 
-@dataclass
-class CompressionStats:
-    layers_lowrank: int = 0
-    svd_fallbacks: int = 0
-
-
 def _working_matrix(values: np.ndarray) -> np.ndarray:
     # conv kernels and anything higher-dimensional: first axis vs the rest
     return values.reshape(values.shape[0], -1)
@@ -160,18 +154,19 @@ def compress_layer(name: str, values: np.ndarray, eps: float,
 
 
 def compress_gradient(grads: ModelParams, eps: float,
-                      policy: CompressionPolicy) -> tuple[GradientPacket, CompressionStats]:
-    """Compress every layer of a gradient under one threshold."""
+                      policy: CompressionPolicy) -> tuple[GradientPacket, int]:
+    """Compress every layer of a gradient under one threshold.
+
+    Returns the packet and how many layers went raw because their SVD
+    failed.
+    """
     pkt = GradientPacket()
-    stats = CompressionStats()
+    svd_fallbacks = 0
     for layer in grads.layers:
         entry, failed = compress_layer(layer.name, layer.values, eps, policy.wire_precision)
         pkt.entries.append(entry)
-        if entry.mode != MODE_RAW:
-            stats.layers_lowrank += 1
-        if failed:
-            stats.svd_fallbacks += 1
-    return pkt, stats
+        svd_fallbacks += failed
+    return pkt, svd_fallbacks
 
 
 def raw_packet(grads: ModelParams, policy: CompressionPolicy) -> GradientPacket:
@@ -272,6 +267,8 @@ def decode_packet(buf: bytes) -> GradientPacket:
         precision = _PRECISION_NAME[prec_code]
         dtype = _WIRE_DTYPE[precision]
         (ndim,) = struct.unpack("<I", take(4, f"layer {name!r} dim count"))
+        if ndim > MAX_DIMS:
+            raise CodecError(f"layer {name!r}: {ndim} dims, at most {MAX_DIMS}")
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"layer {name!r} dims")) \
             if ndim else ()
         size = math.prod(shape)  # Python ints: a hostile shape cannot wrap to 0

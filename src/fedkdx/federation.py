@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics as mt
-from .compression import (CompressionPolicy, CompressionStats, compress_gradient,
-                          decode_packet, decompress, dynamic_threshold,
-                          encode_packet, raw_packet)
+from .compression import (CompressionPolicy, compress_gradient, decode_packet,
+                          decompress, dynamic_threshold, encode_packet, raw_packet)
 from .linalg import softmax_rows
-from .losses import LossConfig, ROLE_STUDENT, ROLE_TEACHER, ce_batch, combined_loss
+from .losses import LossConfig, ce_batch, combined_loss
 from .nn import Model, ModelParams, backward, forward, params_iadd_scaled
 
 STRATEGY_FEDAVG = "FEDAVG"
@@ -137,47 +136,33 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def client_local_step_fedkdx(state: ClientState, student: Model,
-                             cfg: LossConfig, batches: int | None = None) -> ModelParams:
-    """One local pass of mutual distillation.
+                             cfg: LossConfig) -> ModelParams:
+    """One local epoch of mutual distillation.
 
     Per minibatch: forward teacher (training mode) and student (evaluation
     mode, so the shared student's normalization state is never touched),
-    step the teacher by its own loss, and accumulate the student's gradient
-    against the teacher outputs from before that step.  The teacher mutates
-    in place; the student is read-only here, its update arrives downlink.
+    evaluate both sides' objectives on those outputs, step the teacher by
+    its gradient and accumulate the student's.  The teacher mutates in
+    place; the student is read-only here, its update arrives downlink.
 
-    ``batches`` limits the pass to that many minibatches; default is one
-    epoch.  Returns the student gradient averaged over minibatches.
+    Returns the student gradient averaged over minibatches.
     """
     n = state.num_train
     if n == 0:
         raise RoundError(f"client {state.client_id}: empty training shard")
     grad_acc = student.params.zeros_like()
-    done = 0
-    target = batches
-    while target is None or done < target:
-        for idx in _epoch_batches(n, state.batch_size, state.rng):
-            if target is not None and done >= target:
-                break
-            xb = state.x_train[idx]
-            yb = state.y_train[idx]
+    for done, idx in enumerate(_epoch_batches(n, state.batch_size, state.rng), 1):
+        xb = state.x_train[idx]
+        t_tr = forward(state.teacher, xb, "train")
+        s_tr = forward(student, xb, "eval")
 
-            t_tr = forward(state.teacher, xb, "train")
-            s_tr = forward(student, xb, "eval")
-
-            _, gl_t, gf_t = combined_loss(ROLE_TEACHER, t_tr.logits, s_tr.logits,
-                                          t_tr.features, s_tr.features, yb, cfg)
-            t_grad = backward(state.teacher.params, t_tr, gl_t, gf_t)
-            if state.teacher_lr != 0.0:
-                params_iadd_scaled(state.teacher.params, t_grad, -state.teacher_lr)
-
-            _, gl_s, gf_s = combined_loss(ROLE_STUDENT, s_tr.logits, t_tr.logits,
-                                          s_tr.features, t_tr.features, yb, cfg)
-            s_grad = backward(student.params, s_tr, gl_s, gf_s)
-            params_iadd_scaled(grad_acc, s_grad, 1.0)
-            done += 1
-        if target is None:
-            break
+        (_, gl_t, gf_t), (_, gl_s, gf_s) = combined_loss(
+            t_tr.logits, s_tr.logits, t_tr.features, s_tr.features,
+            state.y_train[idx], cfg)
+        t_grad = backward(state.teacher.params, t_tr, gl_t, gf_t)
+        if state.teacher_lr != 0.0:
+            params_iadd_scaled(state.teacher.params, t_grad, -state.teacher_lr)
+        params_iadd_scaled(grad_acc, backward(student.params, s_tr, gl_s, gf_s), 1.0)
     for layer in grad_acc.layers:
         layer.values /= done
     return grad_acc
@@ -211,25 +196,27 @@ def client_local_step_fedavg(state: ClientState, prox_mu: float,
 
 
 def _client_uplink(state: ClientState, server: ServerState, cfg: LossConfig,
-                   eps: float) -> tuple[bytes, CompressionStats]:
+                   eps: float) -> tuple[bytes, int]:
+    """The client's encoded uplink and its count of SVD fallbacks."""
     if server.strategy in _DISTILLING:
         grad = client_local_step_fedkdx(state, state.student_view, cfg)
         if server.compress:
-            pkt, stats = compress_gradient(grad, eps, server.policy)
+            pkt, fallbacks = compress_gradient(grad, eps, server.policy)
         else:
-            pkt, stats = raw_packet(grad, server.policy), CompressionStats()
+            pkt, fallbacks = raw_packet(grad, server.policy), 0
     else:
         mu = server.fedprox_mu if server.strategy == STRATEGY_FEDPROX else 0.0
         delta = client_local_step_fedavg(state, mu, server.local_epochs)
-        pkt, stats = raw_packet(delta, server.policy), CompressionStats()
-    return encode_packet(pkt), stats
+        pkt, fallbacks = raw_packet(delta, server.policy), 0
+    return encode_packet(pkt), fallbacks
 
 
 def server_aggregate(blobs: list[tuple[int, bytes]], server: ServerState,
                      eps: float, weights: dict[int, float] | None = None,
-                     ) -> tuple[bytes, CompressionStats]:
+                     ) -> tuple[bytes, int]:
     """Decode uplinks in ascending client order, average, update the shared
-    student, and produce the downlink bytes.
+    student, and produce the downlink bytes with their count of SVD
+    fallbacks.
 
     Distilling strategies average gradients unweighted and descend by the
     student rate; averaging strategies blend parameter deltas by the given
@@ -250,15 +237,15 @@ def server_aggregate(blobs: list[tuple[int, bytes]], server: ServerState,
         params_iadd_scaled(acc, grad, w)
 
     if server.strategy in _DISTILLING and server.compress:
-        down_pkt, down_stats = compress_gradient(acc, eps, server.policy)
+        down_pkt, down_fallbacks = compress_gradient(acc, eps, server.policy)
     else:
-        down_pkt, down_stats = raw_packet(acc, server.policy), CompressionStats()
+        down_pkt, down_fallbacks = raw_packet(acc, server.policy), 0
     down_blob = encode_packet(down_pkt)
 
     applied = decompress(decode_packet(down_blob), template)
     scale = -server.student_lr if server.strategy in _DISTILLING else 1.0
     params_iadd_scaled(server.student.params, applied, scale)
-    return down_blob, down_stats
+    return down_blob, down_fallbacks
 
 
 EVAL_CHUNK = 512
@@ -290,7 +277,7 @@ def run_round(server: ServerState, clients: dict[int, ClientState], cfg: LossCon
 
     participants = sample_clients(sorted(clients), server.join_ratio, server.sampler_rng)
 
-    def one(cid: int) -> tuple[bytes, CompressionStats]:
+    def one(cid: int) -> tuple[bytes, int]:
         return _client_uplink(clients[cid], server, cfg, eps)
 
     if threads == 1:
@@ -302,15 +289,15 @@ def run_round(server: ServerState, clients: dict[int, ClientState], cfg: LossCon
 
     blobs = [(cid, results[cid][0]) for cid in participants]
     bytes_up = sum(len(b) for _, b in blobs)
-    fallbacks = sum(results[cid][1].svd_fallbacks for cid in participants)
+    fallbacks = sum(results[cid][1] for cid in participants)
 
     weights = None
     if server.strategy in (STRATEGY_FEDAVG, STRATEGY_FEDPROX):
         total = sum(clients[cid].num_train for cid in participants)
         weights = {cid: clients[cid].num_train / total for cid in participants}
 
-    down_blob, down_stats = server_aggregate(blobs, server, eps, weights)
-    fallbacks += down_stats.svd_fallbacks
+    down_blob, down_fallbacks = server_aggregate(blobs, server, eps, weights)
+    fallbacks += down_fallbacks
 
     # every client receives the broadcast, participant or not
     bytes_down = len(down_blob) * len(clients)

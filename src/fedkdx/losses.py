@@ -18,9 +18,6 @@ from .linalg import log_softmax_rows
 # non-target masses; far below every gradient-check tolerance.
 PROB_FLOOR = 1e-12
 
-ROLE_TEACHER = "teacher"
-ROLE_STUDENT = "student"
-
 TOWARD_TEACHER = "toward_teacher"
 TOWARD_STUDENT = "toward_student"
 
@@ -54,8 +51,6 @@ def _as_logit_rows(a, name: str) -> np.ndarray:
         z = z[None, :]
     if z.ndim != 2 or z.shape[1] < 1:
         raise ValueError(f"{name} must be a logit vector or (B, C) array")
-    if not np.isfinite(z).all():
-        raise ValueError(f"{name} must be finite")
     return z
 
 
@@ -234,55 +229,65 @@ def ctl_loss(teacher_feats, student_feats, tau: float) -> tuple[float, np.ndarra
     return value, g_ft, g_fs
 
 
-def combined_loss(role: str, own_logits, peer_logits, own_feats, peer_feats,
-                  labels, cfg: LossConfig) -> tuple[float, np.ndarray, np.ndarray]:
-    """Batch objective for one side of the mutual-distillation pair.
+# one side's (value, grad_logits, grad_feats)
+SideLoss = tuple[float, np.ndarray, np.ndarray]
 
-    value = mean CE + kd_weight * mean KD + nkd_weight * mean NKD
-            + ctl_weight * CTL, with the two optional terms gated by the
-    config switches.  The peer's logits and features are constants; the
-    returned gradients cover ``own_logits`` (B, C) and ``own_feats`` (B, H).
-    """
-    if role not in (ROLE_TEACHER, ROLE_STUDENT):
-        raise ValueError(f"unknown role {role!r}")
-    own = _as_logit_rows(own_logits, "own_logits")
-    peer = _as_logit_rows(peer_logits, "peer_logits")
-    if own.shape != peer.shape:
-        raise ValueError(f"logit shapes differ: {own.shape} vs {peer.shape}")
-    fo = np.asarray(own_feats, dtype=np.float64)
-    fp = np.asarray(peer_feats, dtype=np.float64)
-    if fo.shape != fp.shape or fo.ndim != 2 or fo.shape[0] != own.shape[0]:
-        raise ValueError("feature arrays must be (B, H) and match the logit batch")
+
+def _logit_terms(log_own: np.ndarray, log_peer: np.ndarray, own: np.ndarray,
+                 labels: np.ndarray, cfg: LossConfig) -> tuple[float, np.ndarray]:
+    """Mean CE + KD (+ NKD) of one side, with its gradient over ``own``."""
     b = own.shape[0]
-    y = _check_labels(labels, own.shape[1])
-    if y.shape[0] != b:
-        raise ValueError(f"expected {b} labels, got {y.shape[0]}")
-
-    log_own = log_softmax_rows(own, cfg.tau)
-    log_peer = log_softmax_rows(peer, cfg.tau)
-    ce_vals, ce_grads = _ce_rows(own, y)
+    ce_vals, ce_grads = _ce_rows(own, labels)
     kd_vals, kd_grads = _kd_rows(log_own, log_peer, cfg.tau)
     value = ce_vals.mean() + cfg.kd_weight * kd_vals.mean()
     grad_logits = (ce_grads + cfg.kd_weight * kd_grads) / b
-
     if cfg.enable_nkd:
-        if own.shape[1] < 2:
-            raise ValueError("nkd term needs at least two classes")
-        nkd_vals, nkd_grads = _nkd_rows(log_own, log_peer, y, cfg.tau, cfg.gamma)
+        nkd_vals, nkd_grads = _nkd_rows(log_own, log_peer, labels, cfg.tau, cfg.gamma)
         value += cfg.nkd_weight * nkd_vals.mean()
         grad_logits += cfg.nkd_weight * nkd_grads / b
+    return value, grad_logits
 
-    grad_feats = np.zeros_like(fo)
+
+def combined_loss(teacher_logits, student_logits, teacher_feats, student_feats,
+                  labels, cfg: LossConfig) -> tuple[SideLoss, SideLoss]:
+    """Batch objectives of both sides of the mutual-distillation pair.
+
+    Each side's value = mean CE + kd_weight * mean KD + nkd_weight * mean
+    NKD + ctl_weight * CTL (the two optional terms gated by the config
+    switches), with the other side's outputs held constant.  The sides
+    share ``ctl_loss(teacher_feats, student_feats)``: the teacher takes its
+    anchor gradient, the student its candidate gradient.  Returns
+    ``(value, grad_logits, grad_feats)`` for the teacher, then the student.
+    """
+    zt = _as_logit_rows(teacher_logits, "teacher_logits")
+    zs = _as_logit_rows(student_logits, "student_logits")
+    if zt.shape != zs.shape:
+        raise ValueError(f"logit shapes differ: {zt.shape} vs {zs.shape}")
+    ft = np.asarray(teacher_feats, dtype=np.float64)
+    fs = np.asarray(student_feats, dtype=np.float64)
+    if ft.shape != fs.shape or ft.ndim != 2 or ft.shape[0] != zt.shape[0]:
+        raise ValueError("feature arrays must be (B, H) and match the logit batch")
+    b, c = zt.shape
+    y = _check_labels(labels, c)
+    if y.shape[0] != b:
+        raise ValueError(f"expected {b} labels, got {y.shape[0]}")
+    if cfg.enable_nkd and c < 2:
+        raise ValueError("nkd term needs at least two classes")
+
+    log_t = log_softmax_rows(zt, cfg.tau)
+    log_s = log_softmax_rows(zs, cfg.tau)
+    value_t, grad_logits_t = _logit_terms(log_t, log_s, zt, y, cfg)
+    value_s, grad_logits_s = _logit_terms(log_s, log_t, zs, y, cfg)
+
+    grad_feats_t, grad_feats_s = np.zeros_like(ft), np.zeros_like(fs)
     # a single-row batch has no in-batch negatives; the contrastive term
     # drops out rather than erroring on the last short minibatch
     if cfg.enable_ctl and b >= 2:
-        if role == ROLE_TEACHER:
-            ctl_value, g_anchor, g_cand = ctl_loss(fo, fp, cfg.tau)
-            g_own = g_anchor
-        else:
-            ctl_value, g_anchor, g_cand = ctl_loss(fp, fo, cfg.tau)
-            g_own = g_cand
-        value += cfg.ctl_weight * ctl_value
-        grad_feats = cfg.ctl_weight * g_own
+        ctl_value, g_anchor, g_cand = ctl_loss(ft, fs, cfg.tau)
+        value_t += cfg.ctl_weight * ctl_value
+        value_s += cfg.ctl_weight * ctl_value
+        grad_feats_t = cfg.ctl_weight * g_anchor
+        grad_feats_s = cfg.ctl_weight * g_cand
 
-    return float(value), grad_logits, grad_feats
+    return ((float(value_t), grad_logits_t, grad_feats_t),
+            (float(value_s), grad_logits_s, grad_feats_s))

@@ -30,6 +30,9 @@ BN_EPS = 1e-5
 
 CHECKPOINT_MAGIC = b"FKDX0001"
 
+# numpy's limit on array rank; a stored shape with more dims is corrupt
+MAX_DIMS = 64
+
 MODE_TRAIN = "train"
 MODE_EVAL = "eval"
 
@@ -513,6 +516,8 @@ def load_checkpoint(path: str) -> Model:
         kind, name_len = r.unpack("<BH")
         name = r.text(name_len, "layer name")
         (ndim,) = r.unpack("<B")
+        if ndim > MAX_DIMS:
+            raise CheckpointError(f"layer {name!r}: {ndim} dims, at most {MAX_DIMS}")
         dims = r.unpack(f"<{ndim}I") if ndim else ()
         count = math.prod(dims)  # Python ints: a hostile shape cannot wrap to 0
         values = np.frombuffer(r.take(count * 8), dtype="<f8").reshape(dims).copy()
@@ -525,7 +530,10 @@ def load_checkpoint(path: str) -> Model:
     if r.pos != len(buf):
         raise CheckpointError(f"{len(buf) - r.pos} trailing bytes after last record")
 
-    model = Model(ModelParams(arch, layers, meta), bn)
+    try:
+        model = Model(ModelParams(arch, layers, meta), bn)
+    except ValueError as e:  # duplicate layer names
+        raise CheckpointError(f"bad layer records: {e}") from e
     _validate_structure(model)
     return model
 

@@ -123,8 +123,8 @@ def test_conv_kernel_reshapes_filters_by_taps():
     # rank-1 as an (8, 15) working matrix, shipped as (8, 3, 5)
     kernel = (rng.normal(size=(8, 1)) @ rng.normal(size=(1, 15))).reshape(8, 3, 5)
     grads = grads_of([kernel])
-    pkt, stats = compress_gradient(grads, 0.9, CompressionPolicy(wire_precision="f64"))
-    assert stats.layers_lowrank == 1
+    pkt, _ = compress_gradient(grads, 0.9, CompressionPolicy(wire_precision="f64"))
+    assert sum(e.mode != MODE_RAW for e in pkt.entries) == 1
     out = decompress(pkt, grads.zeros_like())
     assert out.get("layer0.w").shape == (8, 3, 5)
     assert np.abs(out.get("layer0.w") - kernel).max() < 1e-10
@@ -161,9 +161,9 @@ def test_svd_failure_falls_back_to_raw(monkeypatch):
     # both LAPACK drivers fail, so thin_svd raises SvdNonConvergence
     monkeypatch.setattr(scipy.linalg, "svd", explode)
     g = np.random.default_rng(2).normal(size=(20, 4))
-    pkt, stats = compress_gradient(grads_of([g, np.arange(3.0)]), 0.9,
-                                   CompressionPolicy(wire_precision="f64"))
-    assert stats.svd_fallbacks == 1
+    pkt, svd_fallbacks = compress_gradient(grads_of([g, np.arange(3.0)]), 0.9,
+                                           CompressionPolicy(wire_precision="f64"))
+    assert svd_fallbacks == 1
     assert all(e.mode == MODE_RAW for e in pkt.entries)
     out = decompress(pkt, grads_of([np.zeros_like(g), np.zeros(3)]).zeros_like())
     assert np.array_equal(out.get("layer0.w"), g)
@@ -261,13 +261,21 @@ def test_decode_rejects_bad_mode_and_rank():
 
 
 def test_decode_rejects_oversize_shape_and_non_utf8_name():
+    def one_entry(mode, dims, tail=b""):
+        return (cp.PACKET_MAGIC + struct.pack("<I", 1) + struct.pack("<H", 1) + b"w"
+                + struct.pack("<BB", mode, 0) + struct.pack(f"<I{len(dims)}I", len(dims), *dims)
+                + tail)
+
     # four dims of 65536: their element count wraps to 0 in int64
-    huge = struct.pack("<I", 4) + struct.pack("<4I", *(65536,) * 4)
     for mode, tail in ((MODE_RAW, b""), (MODE_LOWRANK, struct.pack("<I", 1))):
-        blob = (cp.PACKET_MAGIC + struct.pack("<I", 1) + struct.pack("<H", 1) + b"w"
-                + struct.pack("<BB", mode, 0) + huge + tail)
         with pytest.raises(CodecError, match="truncated"):
-            decode_packet(blob)
+            decode_packet(one_entry(mode, (65536,) * 4, tail))
+    # more dims than numpy allows, with no values to read (one dim is 0)
+    with pytest.raises(CodecError, match="dims"):
+        decode_packet(one_entry(MODE_RAW, (0,) + (1,) * 99))
+    # an element count too long to print in an error message
+    with pytest.raises(CodecError, match="dims"):
+        decode_packet(one_entry(MODE_RAW, (0xFFFFFFFF,) * 1200))
 
     blob = bytearray(encode_packet(raw_packet(grads_of([np.ones((2, 2))]),
                                               CompressionPolicy())))

@@ -24,9 +24,9 @@ from fedkdx.federation import (
     server_aggregate,
 )
 from fedkdx.linalg import finite_diff_grad, softmax_rows
-from fedkdx.losses import LossConfig, ROLE_STUDENT, combined_loss
-from fedkdx.nn import (LayerParam, ModelParams, build_cnn_har, build_mlp, forward,
-                       params_iadd_scaled)
+from fedkdx.losses import LossConfig, combined_loss
+from fedkdx.nn import (LayerParam, ModelParams, backward, build_cnn_har, build_mlp,
+                       forward, params_iadd_scaled)
 from helpers import make_experiment, params_equal, rel_err
 
 
@@ -98,7 +98,7 @@ def test_single_batch_step_matches_hand_backprop():
     student = st.student_view.copy()
     cfg = loss_cfg()
 
-    grad = client_local_step_fedkdx(st, student, cfg, batches=1)
+    grad = client_local_step_fedkdx(st, student, cfg)
 
     # replay: the student learns against the teacher outputs before the
     # teacher's own update, in evaluation mode
@@ -106,9 +106,8 @@ def test_single_batch_step_matches_hand_backprop():
     x, y = st_clone.x_train[idx], st_clone.y_train[idx]
     t_tr = forward(st_clone.teacher, x, "train")
     s_tr = forward(student, x, "eval")
-    _, gl, gf = combined_loss(ROLE_STUDENT, s_tr.logits, t_tr.logits,
-                              s_tr.features, t_tr.features, y, cfg)
-    from fedkdx.nn import backward
+    _, (_, gl, gf) = combined_loss(t_tr.logits, s_tr.logits, t_tr.features,
+                                   s_tr.features, y, cfg)
     want = backward(student.params, s_tr, gl, gf)
     assert np.abs(grad.flatten() - want.flatten()).max() < 1e-15
 
@@ -118,7 +117,7 @@ def test_student_gradient_matches_finite_differences():
     for case in range(4):
         st = tiny_client(seed=case, n=8, batch_size=8)
         student = st.student_view.copy()
-        grad = client_local_step_fedkdx(copy.deepcopy(st), student, cfg, batches=1)
+        grad = client_local_step_fedkdx(copy.deepcopy(st), student, cfg)
 
         flat = student.params.flatten()
         probes = np.random.default_rng(case).choice(flat.size, 6, replace=False)
@@ -133,8 +132,8 @@ def test_student_gradient_matches_finite_differences():
                 x, y = clone.x_train[idx], clone.y_train[idx]
                 t_tr = forward(clone.teacher, x, "train")
                 s_tr = forward(probe, x, "eval")
-                val, _, _ = combined_loss(ROLE_STUDENT, s_tr.logits, t_tr.logits,
-                                          s_tr.features, t_tr.features, y, cfg)
+                _, (val, _, _) = combined_loss(t_tr.logits, s_tr.logits, t_tr.features,
+                                               s_tr.features, y, cfg)
                 return val
             fd = finite_diff_grad(f, np.array([flat[i]]))[0]
             assert rel_err(grad.flatten()[i], fd).max() < 1e-4
@@ -152,17 +151,29 @@ def test_zero_teacher_rate_leaves_teacher_parameters_untouched():
     assert not params_equal(st2.teacher.params, before2)
 
 
-def test_gradient_averages_over_requested_batches():
+def test_epoch_gradient_is_the_mean_of_replayed_minibatches():
+    st = tiny_client(n=8, batch_size=4)  # two minibatches per epoch
+    clone = copy.deepcopy(st)
+    student = st.student_view.copy()
     cfg = loss_cfg()
-    one = client_local_step_fedkdx(tiny_client(n=8, batch_size=4),
-                                   build_mlp(4, 3, seed=999), cfg, batches=1)
-    both = client_local_step_fedkdx(tiny_client(n=8, batch_size=4),
-                                    build_mlp(4, 3, seed=999), cfg, batches=2)
-    assert not np.allclose(one.flatten(), both.flatten())
-    # a batch budget beyond one epoch reshuffles and keeps averaging
-    many = client_local_step_fedkdx(tiny_client(n=8, batch_size=4),
-                                    build_mlp(4, 3, seed=999), cfg, batches=5)
-    assert np.all(np.isfinite(many.flatten()))
+    grad = client_local_step_fedkdx(st, student, cfg)
+
+    # replay: both sides learn from one minibatch's outputs, then the
+    # teacher steps before the next minibatch
+    perm = clone.rng.permutation(8)
+    want = []
+    for idx in (perm[:4], perm[4:]):
+        x, y = clone.x_train[idx], clone.y_train[idx]
+        t_tr = forward(clone.teacher, x, "train")
+        s_tr = forward(student, x, "eval")
+        (_, gl_t, gf_t), (_, gl_s, gf_s) = combined_loss(
+            t_tr.logits, s_tr.logits, t_tr.features, s_tr.features, y, cfg)
+        params_iadd_scaled(clone.teacher.params,
+                           backward(clone.teacher.params, t_tr, gl_t, gf_t),
+                           -clone.teacher_lr)
+        want.append(backward(student.params, s_tr, gl_s, gf_s).flatten())
+    assert np.abs(grad.flatten() - np.mean(want, axis=0)).max() < 1e-15
+    assert params_equal(st.teacher.params, clone.teacher.params)
 
 
 def test_empty_shard_raises():

@@ -7,8 +7,6 @@ from scipy.special import rel_entr
 from fedkdx.linalg import finite_diff_grad, softmax_rows
 from fedkdx.losses import (
     PROB_FLOOR,
-    ROLE_STUDENT,
-    ROLE_TEACHER,
     TOWARD_STUDENT,
     TOWARD_TEACHER,
     LossConfig,
@@ -234,93 +232,94 @@ def random_batch(rng, b=4, c=3, h=5):
 
 def test_combined_decomposes_into_its_terms():
     rng = np.random.default_rng(6)
-    own, peer, fo, fp, y = random_batch(rng)
+    zt, zs, ft, fs, y = random_batch(rng)
     cfg = default_cfg(kd_weight=0.7, nkd_weight=1.3, ctl_weight=0.4)
-    b = own.shape[0]
+    b = zt.shape[0]
 
-    value, gl, gf = combined_loss(ROLE_TEACHER, own, peer, fo, fp, y, cfg)
+    teacher, student = combined_loss(zt, zs, ft, fs, y, cfg)
 
-    ce = np.mean([cross_entropy(own[i], y[i])[0] for i in range(b)])
-    kd = np.mean([kd_loss(own[i], peer[i], cfg.tau, TOWARD_STUDENT)[0]
-                  for i in range(b)])
-    nkd = np.mean([nkd_loss(own[i], peer[i], y[i], cfg.tau, cfg.gamma)[0]
-                   for i in range(b)])
-    ctl, g_anchor, _ = ctl_loss(fo, fp, cfg.tau)
-    want = ce + 0.7 * kd + 1.3 * nkd + 0.4 * ctl
-    assert abs(value - want) < 1e-12
-    assert np.abs(gf - 0.4 * g_anchor).max() < 1e-12
+    ctl, g_anchor, g_cand = ctl_loss(ft, fs, cfg.tau)
+    for (value, gl, gf), own, peer, g_ctl in ((teacher, zt, zs, g_anchor),
+                                              (student, zs, zt, g_cand)):
+        ce = np.mean([cross_entropy(own[i], y[i])[0] for i in range(b)])
+        kd = np.mean([kd_loss(own[i], peer[i], cfg.tau, TOWARD_STUDENT)[0]
+                      for i in range(b)])
+        nkd = np.mean([nkd_loss(own[i], peer[i], y[i], cfg.tau, cfg.gamma)[0]
+                       for i in range(b)])
+        want = ce + 0.7 * kd + 1.3 * nkd + 0.4 * ctl
+        assert abs(value - want) < 1e-12
+        assert np.abs(gf - 0.4 * g_ctl).max() < 1e-12
 
-    g_manual = np.stack([
-        cross_entropy(own[i], y[i])[1]
-        + 0.7 * kd_loss(own[i], peer[i], cfg.tau, TOWARD_STUDENT)[1]
-        + 1.3 * nkd_loss(own[i], peer[i], y[i], cfg.tau, cfg.gamma)[1]
-        for i in range(b)]) / b
-    assert np.abs(gl - g_manual).max() < 1e-12
+        g_manual = np.stack([
+            cross_entropy(own[i], y[i])[1]
+            + 0.7 * kd_loss(own[i], peer[i], cfg.tau, TOWARD_STUDENT)[1]
+            + 1.3 * nkd_loss(own[i], peer[i], y[i], cfg.tau, cfg.gamma)[1]
+            for i in range(b)]) / b
+        assert np.abs(gl - g_manual).max() < 1e-12
 
 
 def test_combined_role_selects_the_contrastive_side():
     rng = np.random.default_rng(7)
-    own, peer, fo, fp, y = random_batch(rng)
-    cfg = default_cfg()
-    _, _, gf_teacher = combined_loss(ROLE_TEACHER, own, peer, fo, fp, y, cfg)
-    _, _, gf_student = combined_loss(ROLE_STUDENT, own, peer, fo, fp, y, cfg)
-    _, g_anchor, g_cand = ctl_loss(fo, fp, cfg.tau)
+    zt, zs, ft, fs, y = random_batch(rng)
+    (_, _, gf_teacher), (_, _, gf_student) = combined_loss(zt, zs, ft, fs, y,
+                                                           default_cfg())
+    # teacher rows are the anchors, student rows the candidates
+    _, g_anchor, g_cand = ctl_loss(ft, fs, default_cfg().tau)
     assert np.abs(gf_teacher - g_anchor).max() < 1e-15
-    # the student is the candidate side of the same pairing, anchored on
-    # its peer's features
-    _, _, g_cand_student = ctl_loss(fp, fo, cfg.tau)
-    assert np.abs(gf_student - g_cand_student).max() < 1e-15
+    assert np.abs(gf_student - g_cand).max() < 1e-15
 
 
 def test_combined_flags_drop_terms():
     rng = np.random.default_rng(8)
-    own, peer, fo, fp, y = random_batch(rng)
-    v_all, _, _ = combined_loss(ROLE_TEACHER, own, peer, fo, fp, y, default_cfg())
-    v_nonkd, _, _ = combined_loss(ROLE_TEACHER, own, peer, fo, fp, y,
-                                  default_cfg(enable_nkd=False))
-    v_noctl, _, gf = combined_loss(ROLE_TEACHER, own, peer, fo, fp, y,
-                                   default_cfg(enable_ctl=False))
+    batch = random_batch(rng)
+    (v_all, _, _), _ = combined_loss(*batch, default_cfg())
+    (v_nonkd, _, _), _ = combined_loss(*batch, default_cfg(enable_nkd=False))
+    (v_noctl, _, gf_t), (_, _, gf_s) = combined_loss(*batch,
+                                                     default_cfg(enable_ctl=False))
     assert v_nonkd < v_all
     assert v_noctl != v_all
-    assert np.all(gf == 0.0)
+    assert np.all(gf_t == 0.0) and np.all(gf_s == 0.0)
 
 
 def test_combined_single_row_batch_drops_the_contrastive_term():
     rng = np.random.default_rng(9)
-    own, peer, fo, fp, y = random_batch(rng, b=1)
-    v_on, gl_on, gf = combined_loss(ROLE_STUDENT, own, peer, fo, fp, y,
-                                    default_cfg())
-    v_off, gl_off, _ = combined_loss(ROLE_STUDENT, own, peer, fo, fp, y,
-                                     default_cfg(enable_ctl=False))
-    assert v_on == v_off
-    assert np.array_equal(gl_on, gl_off)
-    assert np.all(gf == 0.0)
+    batch = random_batch(rng, b=1)
+    on = combined_loss(*batch, default_cfg())
+    off = combined_loss(*batch, default_cfg(enable_ctl=False))
+    for (v_on, gl_on, gf), (v_off, gl_off, _) in zip(on, off):
+        assert v_on == v_off
+        assert np.array_equal(gl_on, gl_off)
+        assert np.all(gf == 0.0)
 
 
 def test_combined_gradients_match_finite_differences_both_roles():
     rng = np.random.default_rng(10)
     cfg = default_cfg(kd_weight=0.5, nkd_weight=0.8, ctl_weight=1.2)
-    for role in (ROLE_TEACHER, ROLE_STUDENT):
-        own, peer, fo, fp, y = random_batch(rng)
-        _, gl, gf = combined_loss(role, own, peer, fo, fp, y, cfg)
-        b, c = own.shape
-        fd_check(lambda z: combined_loss(role, z.reshape(b, c), peer, fo, fp,
-                                         y, cfg)[0], own.ravel(), gl.ravel())
-        fd_check(lambda a: combined_loss(role, own, peer, a.reshape(fo.shape),
-                                         fp, y, cfg)[0], fo.ravel(), gf.ravel())
+    zt, zs, ft, fs, y = random_batch(rng)
+    b, c = zt.shape
+    teacher, student = combined_loss(zt, zs, ft, fs, y, cfg)
+    # each side's value is differentiated in its own inputs, the peer's held
+    fd_check(lambda z: combined_loss(z.reshape(b, c), zs, ft, fs, y, cfg)[0][0],
+             zt.ravel(), teacher[1].ravel())
+    fd_check(lambda a: combined_loss(zt, zs, a.reshape(ft.shape), fs, y, cfg)[0][0],
+             ft.ravel(), teacher[2].ravel())
+    fd_check(lambda z: combined_loss(zt, z.reshape(b, c), ft, fs, y, cfg)[1][0],
+             zs.ravel(), student[1].ravel())
+    fd_check(lambda a: combined_loss(zt, zs, ft, a.reshape(fs.shape), y, cfg)[1][0],
+             fs.ravel(), student[2].ravel())
 
 
-def test_combined_validates_shapes_and_role():
+def test_combined_validates_shapes():
     rng = np.random.default_rng(11)
-    own, peer, fo, fp, y = random_batch(rng)
+    zt, zs, ft, fs, y = random_batch(rng)
     with pytest.raises(ValueError):
-        combined_loss("referee", own, peer, fo, fp, y, default_cfg())
+        combined_loss(zt, zs[:2], ft, fs, y, default_cfg())
     with pytest.raises(ValueError):
-        combined_loss(ROLE_TEACHER, own, peer[:2], fo, fp, y, default_cfg())
+        combined_loss(zt, zs, ft[:2], fs[:2], y, default_cfg())
     with pytest.raises(ValueError):
-        combined_loss(ROLE_TEACHER, own, peer, fo[:2], fp[:2], y, default_cfg())
+        combined_loss(zt, zs, ft, fs, y[:2], default_cfg())
     with pytest.raises(ValueError):
-        combined_loss(ROLE_TEACHER, own, peer, fo, fp, y[:2], default_cfg())
+        combined_loss(zt, np.where(zs > 0, np.inf, zs), ft, fs, y, default_cfg())
 
 
 @settings(max_examples=30)
@@ -328,9 +327,9 @@ def test_combined_validates_shapes_and_role():
        st.booleans(), st.booleans())
 def test_combined_finite_on_random_input(seed, nkd, ctl):
     rng = np.random.default_rng(seed)
-    own, peer, fo, fp, y = random_batch(rng)
+    batch = random_batch(rng)
     cfg = default_cfg(enable_nkd=nkd, enable_ctl=ctl,
                       tau=float(rng.uniform(0.2, 4.0)))
-    v, gl, gf = combined_loss(ROLE_TEACHER, own, peer, fo, fp, y, cfg)
-    assert np.isfinite(v)
-    assert np.all(np.isfinite(gl)) and np.all(np.isfinite(gf))
+    for v, gl, gf in combined_loss(*batch, cfg):
+        assert np.isfinite(v)
+        assert np.all(np.isfinite(gl)) and np.all(np.isfinite(gf))

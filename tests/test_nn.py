@@ -311,6 +311,10 @@ def test_checkpoint_rejects_oversize_dims_and_malformed_text(tmp_path):
         # four dims of 65536: their element count wraps to 0 in int64
         "huge": raw[:first_record] + struct.pack("<BH", 0, 5) + b"fc1.w"
                 + struct.pack("<B4I", 4, *(65536,) * 4),
+        # more dims than numpy allows, with no values to read (one dim is 0)
+        "ndim": raw[:first_record] + struct.pack("<BH", 0, 5) + b"fc1.w"
+                + struct.pack("<B100I", 100, 0, *(1,) * 99),
+        "duplicate": raw.replace(b"fc1.b", b"fc1.w"),
         "arch": raw[:10] + b"\xff" + raw[11:],
         "name": raw.replace(b"fc1.w", b"\xffc1.w", 1),
         # a meta block that parses but is not an object
@@ -321,7 +325,7 @@ def test_checkpoint_rejects_oversize_dims_and_malformed_text(tmp_path):
     for label, blob in cases.items():
         bad = str(tmp_path / f"{label}.ckpt")
         open(bad, "wb").write(blob)
-        with pytest.raises(CheckpointError, match="truncated|UTF-8|meta"):
+        with pytest.raises(CheckpointError, match="truncated|UTF-8|meta|dims|duplicate"):
             load_checkpoint(bad)
 
     # rejecting a large meta dim costs about the file's size, not the dim's
