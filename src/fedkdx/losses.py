@@ -78,26 +78,24 @@ def _ce_rows(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.nda
     return values, grads
 
 
-def _kd_rows(log_own: np.ndarray, log_peer: np.ndarray,
-             tau: float) -> tuple[np.ndarray, np.ndarray]:
+def _kd_rows(log_own: np.ndarray, log_peer: np.ndarray, p_own: np.ndarray,
+             p_peer: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-row tau^2-scaled KL(peer || own) from the tempered log-softmaxes
-    of both sides; peer is a constant reference."""
-    p_peer = np.exp(log_peer)
+    of both sides and their exps; peer is a constant reference."""
     contrib = np.where(p_peer > 0.0, p_peer * (log_peer - log_own), 0.0)
     values = tau * tau * contrib.sum(axis=1)
-    grads = tau * (np.exp(log_own) - p_peer)
+    grads = tau * (p_own - p_peer)
     return values, grads
 
 
-def _nkd_rows(log_own: np.ndarray, log_peer: np.ndarray, labels: np.ndarray,
-              tau: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+def _nkd_rows(log_own: np.ndarray, p_own: np.ndarray, p_peer: np.ndarray,
+              labels: np.ndarray, tau: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-row decoupled distillation: a target-confidence term plus a
     tau^2-scaled cross entropy between the renormalized non-target masses
-    of peer and own distributions, given their tempered log-softmaxes."""
+    of peer and own distributions, given their tempered softmaxes and the
+    own log-softmax."""
     b, c = log_own.shape
     rows = np.arange(b)
-    p_own = np.exp(log_own)
-    p_peer = np.exp(log_peer)
 
     pt_target = p_peer[rows, labels]
     log_ps_target = log_own[rows, labels]
@@ -161,8 +159,8 @@ def kd_loss(own_logits, peer_logits, tau: float, direction: str) -> tuple[float,
     peer = _as_logit_rows(peer_logits, "peer_logits")
     if own.shape != peer.shape or own.shape[0] != 1:
         raise ValueError("kd_loss takes two logit vectors of equal length")
-    values, grads = _kd_rows(log_softmax_rows(own, tau), log_softmax_rows(peer, tau),
-                             tau)
+    log_own, log_peer = log_softmax_rows(own, tau), log_softmax_rows(peer, tau)
+    values, grads = _kd_rows(log_own, log_peer, np.exp(log_own), np.exp(log_peer), tau)
     return float(values[0]), grads[0]
 
 
@@ -180,8 +178,9 @@ def nkd_loss(own_logits, peer_logits, target, tau: float, gamma: float) -> tuple
     if own.shape[1] < 2:
         raise ValueError("nkd_loss needs at least two classes")
     y = _check_labels(target, own.shape[1])
-    values, grads = _nkd_rows(log_softmax_rows(own, tau), log_softmax_rows(peer, tau),
-                              y, tau, gamma)
+    log_own = log_softmax_rows(own, tau)
+    values, grads = _nkd_rows(log_own, np.exp(log_own),
+                              np.exp(log_softmax_rows(peer, tau)), y, tau, gamma)
     return float(values[0]), grads[0]
 
 
@@ -233,16 +232,18 @@ def ctl_loss(teacher_feats, student_feats, tau: float) -> tuple[float, np.ndarra
 SideLoss = tuple[float, np.ndarray, np.ndarray]
 
 
-def _logit_terms(log_own: np.ndarray, log_peer: np.ndarray, own: np.ndarray,
-                 labels: np.ndarray, cfg: LossConfig) -> tuple[float, np.ndarray]:
-    """Mean CE + KD (+ NKD) of one side, with its gradient over ``own``."""
+def _logit_terms(log_own: np.ndarray, log_peer: np.ndarray, p_own: np.ndarray,
+                 p_peer: np.ndarray, own: np.ndarray, labels: np.ndarray,
+                 cfg: LossConfig) -> tuple[float, np.ndarray]:
+    """Mean CE + KD (+ NKD) of one side, with its gradient over ``own``;
+    ``p_*`` are the exps of the tempered log-softmaxes ``log_*``."""
     b = own.shape[0]
     ce_vals, ce_grads = _ce_rows(own, labels)
-    kd_vals, kd_grads = _kd_rows(log_own, log_peer, cfg.tau)
+    kd_vals, kd_grads = _kd_rows(log_own, log_peer, p_own, p_peer, cfg.tau)
     value = ce_vals.mean() + cfg.kd_weight * kd_vals.mean()
     grad_logits = (ce_grads + cfg.kd_weight * kd_grads) / b
     if cfg.enable_nkd:
-        nkd_vals, nkd_grads = _nkd_rows(log_own, log_peer, labels, cfg.tau, cfg.gamma)
+        nkd_vals, nkd_grads = _nkd_rows(log_own, p_own, p_peer, labels, cfg.tau, cfg.gamma)
         value += cfg.nkd_weight * nkd_vals.mean()
         grad_logits += cfg.nkd_weight * nkd_grads / b
     return value, grad_logits
@@ -276,8 +277,9 @@ def combined_loss(teacher_logits, student_logits, teacher_feats, student_feats,
 
     log_t = log_softmax_rows(zt, cfg.tau)
     log_s = log_softmax_rows(zs, cfg.tau)
-    value_t, grad_logits_t = _logit_terms(log_t, log_s, zt, y, cfg)
-    value_s, grad_logits_s = _logit_terms(log_s, log_t, zs, y, cfg)
+    p_t, p_s = np.exp(log_t), np.exp(log_s)
+    value_t, grad_logits_t = _logit_terms(log_t, log_s, p_t, p_s, zt, y, cfg)
+    value_s, grad_logits_s = _logit_terms(log_s, log_t, p_s, p_t, zs, y, cfg)
 
     grad_feats_t, grad_feats_s = np.zeros_like(ft), np.zeros_like(fs)
     # a single-row batch has no in-batch negatives; the contrastive term

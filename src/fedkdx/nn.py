@@ -331,15 +331,18 @@ def forward(model: Model, x: np.ndarray, mode: str) -> ForwardTrace:
 
 # --------------------------------------------------------------- backward
 
-def _conv1d_backward(dout, cols, w, in_shape):
-    b, c, l = in_shape
-    f, _, k = w.shape
-    lout = dout.shape[2]
-    w_mat = w.reshape(f, -1)
-    dw = np.einsum("bfl,blc->fc", dout, cols).reshape(w.shape)
+def _conv1d_backward(dout, cols, w, input_grad=True):
+    # -> (dx, dw, db); dx is None when input_grad is false
+    f, c, k = w.shape
+    b, _, lout = dout.shape
+    # one GEMM per sample, summed over the batch: a single GEMM over
+    # batch x positions gives OpenBLAS-thread-count-dependent bits
+    dw = (dout @ cols).sum(axis=0).reshape(w.shape)
     db = dout.sum(axis=(0, 2))
-    dcols = np.einsum("bfl,fc->blc", dout, w_mat).reshape(b, lout, c, k)
-    dx = np.zeros((b, c, l))
+    if not input_grad:
+        return None, dw, db
+    dcols = (dout.transpose(0, 2, 1) @ w.reshape(f, -1)).reshape(b, lout, c, k)
+    dx = np.zeros((b, c, lout + k - 1))
     for kk in range(k):
         dx[:, :, kk:kk + lout] += dcols[:, :, :, kk].transpose(0, 2, 1)
     return dx, dw, db
@@ -363,10 +366,10 @@ def _bn_backward(dout, cache, gamma, mode):
 def _maxpool2_backward(dout, cache):
     arg, l = cache
     b, f, lp = dout.shape
-    dxv = np.zeros((b, f, lp, POOL_WIDTH))
-    np.put_along_axis(dxv, arg[..., None], dout[..., None], axis=3)
     dx = np.zeros((b, f, l))
-    dx[:, :, :lp * POOL_WIDTH] = dxv.reshape(b, f, lp * POOL_WIDTH)
+    # scatter through a (b, f, lp, POOL_WIDTH) view of the pooled span
+    dxv = dx[:, :, :lp * POOL_WIDTH].reshape(b, f, lp, POOL_WIDTH)
+    np.put_along_axis(dxv, arg[..., None], dout[..., None], axis=3)
     return dx
 
 
@@ -410,24 +413,16 @@ def backward(params: ModelParams, trace: ForwardTrace, grad_logits: np.ndarray,
         g["fc1.b"] = dh.sum(axis=0)
         dh = dh @ params.get("fc1.w").T
         dh = dh.reshape(caches["conv_out_shape"])
-        for blk, prev_cols in (("2", caches["conv1"]), ("1", None)):
+        for blk in ("2", "1"):
             dh = _maxpool2_backward(dh, caches[f"pool{blk}"])
             dh = dh * caches[f"relu{blk}"]
             dh, dgamma, dbeta = _bn_backward(dh, caches[f"bn{blk}"],
                                              params.get(f"bn{blk}.gamma"), trace.mode)
             g[f"bn{blk}.gamma"] = dgamma
             g[f"bn{blk}.beta"] = dbeta
-            cols = caches[f"conv{blk}"]
-            w = params.get(f"conv{blk}.w")
-            if blk == "2":
-                b, lout_prev = prev_cols.shape[0], caches["pool1"][0].shape[2]
-                in_shape = (b, CONV_FILTERS[0], lout_prev)
-            else:
-                m = params.meta
-                in_shape = (dh.shape[0], m["in_channels"], m["in_length"])
-            dh, dw, db = _conv1d_backward(dh, cols, w, in_shape)
-            g[f"conv{blk}.w"] = dw
-            g[f"conv{blk}.b"] = db
+            # nothing upstream of the input batch needs its gradient
+            dh, g[f"conv{blk}.w"], g[f"conv{blk}.b"] = _conv1d_backward(
+                dh, caches[f"conv{blk}"], params.get(f"conv{blk}.w"), input_grad=blk == "2")
     elif params.arch == ARCH_MLP:
         g["fc2.w"] = caches["fc2.in"].T @ dh
         g["fc2.b"] = dh.sum(axis=0)

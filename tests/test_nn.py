@@ -1,13 +1,18 @@
 import copy
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import fedkdx
 from fedkdx.linalg import finite_diff_grad
 from fedkdx.nn import (
+    CONV_KERNEL,
     ArchitectureError,
     CheckpointError,
     LayerParam,
@@ -21,7 +26,7 @@ from fedkdx.nn import (
     params_iadd_scaled,
     save_checkpoint,
 )
-from fedkdx.nn import _conv1d, _maxpool2  # noqa: F401 - oracle targets
+from fedkdx.nn import _conv1d, _conv1d_backward, _maxpool2  # noqa: F401 - oracle targets
 from helpers import params_equal, rel_err
 
 
@@ -237,6 +242,70 @@ def test_backward_matches_finite_differences(arch, mode):
             return scalar_objective(probe, x, wl, wf, mode, snapshot)
         fd = finite_diff_grad(f, np.array([flat[i]]))[0]
         assert rel_err(grads.flatten()[i], fd).max() < 1e-4
+
+
+def naive_conv1d_backward(x, w, dout):
+    """Loop reference for the (dx, dw, db) of naive_conv1d under dout."""
+    bsz, _, lout = dout.shape
+    f, _, k = w.shape
+    dx, dw, db = np.zeros_like(x), np.zeros_like(w), np.zeros(f)
+    for n in range(bsz):
+        for ff in range(f):
+            for i in range(lout):
+                dw[ff] += dout[n, ff, i] * x[n, :, i:i + k]
+                dx[n, :, i:i + k] += dout[n, ff, i] * w[ff]
+                db[ff] += dout[n, ff, i]
+    return dx, dw, db
+
+
+# the inputs of conv1 and conv2 in the 9x128 HAR network, at an odd batch
+@pytest.mark.parametrize("in_shape, filters", [((7, 9, 128), 32), ((7, 32, 60), 64)],
+                         ids=["conv1", "conv2"])
+def test_conv1d_backward_matches_naive_loops(in_shape, filters):
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=in_shape)
+    w = rng.normal(size=(filters, in_shape[1], CONV_KERNEL))
+    _, cols = _conv1d(x, w, np.zeros(filters))
+    dout = rng.normal(size=(in_shape[0], filters, in_shape[2] - CONV_KERNEL + 1))
+    got = _conv1d_backward(dout, cols, w)
+    for g, ref in zip(got, naive_conv1d_backward(x, w, dout)):
+        assert g.shape == ref.shape
+        assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+    no_dx = _conv1d_backward(dout, cols, w, input_grad=False)
+    assert no_dx[0] is None
+    assert np.array_equal(no_dx[1], got[1]) and np.array_equal(no_dx[2], got[2])
+
+
+# prints a digest of the bytes of the logits and of every gradient of the
+# HAR CNN, per batch size and mode
+_CNN_KERNEL_DIGESTS = """
+import hashlib
+import numpy as np
+from fedkdx.nn import backward, build_cnn_har, forward
+for bsz in (1, 7, 13, 32):
+    for mode in ("train", "eval"):
+        rng = np.random.default_rng(bsz)
+        model = build_cnn_har(9, 128, 6, seed=0)
+        tr = forward(model, rng.normal(size=(bsz, 9, 128)), mode)
+        grads = backward(model.params, tr, rng.normal(size=(bsz, 6)),
+                         rng.normal(size=(bsz, 128)))
+        for name, a in [("logits", tr.logits)] + [(l.name, l.values) for l in grads.layers]:
+            print(bsz, mode, name, hashlib.sha256(a.tobytes()).hexdigest())
+"""
+
+
+def test_blas_thread_count_does_not_change_cnn_kernels():
+    src = os.path.dirname(os.path.dirname(fedkdx.__file__))
+    outs = []
+    for blas in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": blas,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _CNN_KERNEL_DIGESTS], env=env,
+                              check=True, timeout=300, capture_output=True, text=True)
+        outs.append(proc.stdout.splitlines())
+    assert outs[0] == outs[1]
+    assert len(outs[0]) == 4 * 2 * 15  # batch sizes x modes x (logits + 14 grads)
 
 
 def test_backward_rejects_mismatched_trace():
