@@ -75,9 +75,7 @@ def cmd_partition(args) -> int:
     return EXIT_OK
 
 
-def _sweep_points(cfg: RunConfig) -> list[tuple[str, RunConfig]]:
-    sweep = cfg.sweep or SweepConfig(axis="join_ratio",
-                                     values=tuple(DEFAULT_JOIN_SWEEP))
+def _sweep_points(cfg: RunConfig, sweep: SweepConfig) -> list[tuple[str, RunConfig]]:
     base = dataclasses.replace(cfg, sweep=None)
     points = []
     if sweep.axis == "join_ratio":
@@ -97,11 +95,10 @@ def _sweep_points(cfg: RunConfig) -> list[tuple[str, RunConfig]]:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    points = _sweep_points(cfg)
-    axis = (cfg.sweep or SweepConfig(axis="join_ratio")).axis
+    sweep = cfg.sweep or SweepConfig(axis="join_ratio", values=DEFAULT_JOIN_SWEEP)
     rows = []
     threads = _resolve_threads(args.threads)
-    for label, point_cfg in points:
+    for label, point_cfg in _sweep_points(cfg, sweep):
         out_dir = os.path.join(args.out, label)
         summary = run_experiment(point_cfg, out_dir, threads=threads)
         final = summary["final"]
@@ -112,7 +109,7 @@ def cmd_sweep(args) -> int:
     sweep_path = os.path.join(args.out, "sweep.csv")
     with open(sweep_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([axis, "accuracy", "f1_macro", "recall_macro",
+        writer.writerow([sweep.axis, "accuracy", "f1_macro", "recall_macro",
                          "auc_macro", "wall_seconds"])
         writer.writerows(rows)
     print(f"sweep summary written to {sweep_path}")

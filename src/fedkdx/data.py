@@ -1,9 +1,8 @@
-"""Dataset handling: the UCI-HAR raw-inertial archive, stream preprocessing,
-window segmentation, synthetic blobs, and client partitioning.
+"""Dataset handling: the UCI-HAR raw-inertial archive, synthetic blobs,
+and client partitioning.
 
 The archive ships pre-windowed 128-sample rows, so the loader consumes it
-directly; the filtering and windowing stages exist for raw streams and the
-synthetic path.
+directly.
 """
 
 from __future__ import annotations
@@ -12,15 +11,12 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, medfilt, sosfilt, sosfilt_zi
 
 HAR_CHANNELS = (
     "body_acc_x", "body_acc_y", "body_acc_z",
     "body_gyro_x", "body_gyro_y", "body_gyro_z",
     "total_acc_x", "total_acc_y", "total_acc_z",
 )
-
-GRAVITY_CUTOFF_HZ = 0.3
 
 MODE_BY_SUBJECT = "by_subject"
 MODE_IID = "iid_shuffle"
@@ -37,7 +33,7 @@ class DataError(ValueError):
 class Sample:
     window: np.ndarray  # (channels, length)
     label: int
-    subject_id: int
+    subject: int
 
 
 @dataclass
@@ -120,72 +116,6 @@ def load_ucihar(root: str) -> list[Sample]:
         for i in range(rows):
             samples.append(Sample(windows[i], int(labels[i]) - 1, int(subjects[i])))
     return samples
-
-
-# ------------------------------------------------------------- filtering
-
-def preprocess_stream(signal: np.ndarray, median_width: int = 3,
-                      butter_order: int = 3, cutoff_hz: float = 20.0,
-                      fs_hz: float = 50.0) -> np.ndarray:
-    """Per-channel median filter then a causal low-pass Butterworth
-    (bilinear-transform biquad cascade)."""
-    signal = np.asarray(signal, dtype=np.float64)
-    if signal.ndim != 2:
-        raise DataError(f"expected (channels, T) signal, got shape {signal.shape}")
-    if median_width < 1 or median_width % 2 == 0:
-        raise DataError(f"median_width must be odd and positive, got {median_width}")
-    if signal.shape[1] <= median_width:
-        raise DataError(
-            f"signal length {signal.shape[1]} must exceed median_width {median_width}")
-    if butter_order < 1:
-        raise DataError(f"butter_order must be >= 1, got {butter_order}")
-    if not (0.0 < cutoff_hz < fs_hz / 2.0):
-        raise DataError(
-            f"cutoff_hz must lie in (0, fs/2) = (0, {fs_hz / 2}), got {cutoff_hz}")
-    med = np.stack([medfilt(ch, kernel_size=median_width) for ch in signal])
-    sos = butter(butter_order, cutoff_hz, btype="low", fs=fs_hz, output="sos")
-    return _causal_lowpass(sos, med)
-
-
-def _causal_lowpass(sos: np.ndarray, signal: np.ndarray) -> np.ndarray:
-    # steady-state initial conditions: a constant passes unchanged and the
-    # startup step transient vanishes, while the filter stays causal
-    zi = sosfilt_zi(sos)[:, None, :] * signal[None, :, 0, None]
-    out, _ = sosfilt(sos, signal, axis=-1, zi=zi)
-    return out
-
-
-def gravity_split(signal: np.ndarray, fs_hz: float,
-                  cutoff_hz: float = GRAVITY_CUTOFF_HZ,
-                  order: int = 3) -> tuple[np.ndarray, np.ndarray]:
-    """(gravity, body): gravity is the low-pass component, body the rest."""
-    signal = np.asarray(signal, dtype=np.float64)
-    if not (0.0 < cutoff_hz < fs_hz / 2.0):
-        raise DataError(
-            f"cutoff_hz must lie in (0, fs/2) = (0, {fs_hz / 2}), got {cutoff_hz}")
-    if signal.ndim != 2:
-        raise DataError(f"expected (channels, T) signal, got shape {signal.shape}")
-    sos = butter(order, cutoff_hz, btype="low", fs=fs_hz, output="sos")
-    gravity = _causal_lowpass(sos, signal)
-    return gravity, signal - gravity
-
-
-def sliding_windows(stream: np.ndarray, win: int, overlap_fraction: float) -> np.ndarray:
-    """(count, channels, win) slices at stride win*(1-overlap), minimum 1;
-    the trailing remainder is dropped.  Too-short streams give zero windows."""
-    stream = np.asarray(stream, dtype=np.float64)
-    if stream.ndim != 2:
-        raise DataError(f"expected (channels, T) stream, got shape {stream.shape}")
-    if win < 1:
-        raise DataError(f"win must be >= 1, got {win}")
-    if not (0.0 <= overlap_fraction < 1.0):
-        raise DataError(f"overlap_fraction must lie in [0, 1), got {overlap_fraction}")
-    t = stream.shape[1]
-    if win > t:
-        return np.empty((0, stream.shape[0], win))
-    stride = max(1, int(round(win * (1.0 - overlap_fraction))))
-    count = (t - win) // stride + 1
-    return np.stack([stream[:, i * stride:i * stride + win] for i in range(count)])
 
 
 # ------------------------------------------------------------- synthetic
@@ -287,14 +217,14 @@ def partition(samples: list[Sample], spec: PartitionSpec,
         raise DataError("cannot partition an empty dataset")
     k = spec.num_clients
     if spec.mode == MODE_BY_SUBJECT:
-        subjects = sorted({s.subject_id for s in samples})
+        subjects = sorted({s.subject for s in samples})
         if len(subjects) < k:
             raise DataError(
                 f"by_subject needs >= {k} distinct subjects, found {len(subjects)}")
         client_of = {s: i % k for i, s in enumerate(subjects)}
         shards = [[] for _ in range(k)]
         for s in samples:
-            shards[client_of[s.subject_id]].append(s)
+            shards[client_of[s.subject]].append(s)
     elif spec.mode == MODE_IID:
         if len(samples) < k:
             raise DataError(f"{len(samples)} samples cannot cover {k} clients")

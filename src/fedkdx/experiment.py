@@ -41,12 +41,18 @@ def _load_samples(cfg: RunConfig) -> list[data.Sample]:
     return data.load_ucihar(ds.root)
 
 
-def build_experiment(cfg: RunConfig) -> Experiment:
-    """Materialize dataset, shards, models, and rng streams for one run."""
+def _derive_shards(cfg: RunConfig
+                   ) -> tuple[list[data.Sample], list[data.ClientShard], int]:
+    """The run's samples, its client shards and its class count."""
     samples = _load_samples(cfg)
-    num_classes = max(s.label for s in samples) + 1
     shards = data.partition(samples, cfg.partition_spec(),
                             fed.derive_rng(cfg.seed, fed.STREAM_PARTITION))
+    return samples, shards, max(s.label for s in samples) + 1
+
+
+def build_experiment(cfg: RunConfig) -> Experiment:
+    """Materialize dataset, shards, models, and rng streams for one run."""
+    samples, shards, num_classes = _derive_shards(cfg)
 
     channels, length = samples[0].window.shape
     if cfg.dataset.kind == "synthetic":
@@ -161,10 +167,7 @@ def run_experiment(cfg: RunConfig, out_dir: str, threads: int = 1) -> dict:
 def write_partition_table(cfg: RunConfig, out_dir: str) -> str:
     """Per-client class-count CSV for distribution inspection."""
     os.makedirs(out_dir, exist_ok=True)
-    samples = _load_samples(cfg)
-    num_classes = max(s.label for s in samples) + 1
-    shards = data.partition(samples, cfg.partition_spec(),
-                            fed.derive_rng(cfg.seed, fed.STREAM_PARTITION))
+    _, shards, num_classes = _derive_shards(cfg)
     table = data.class_count_table(shards, num_classes)
     path = os.path.join(out_dir, "partition.csv")
     with open(path, "w", newline="") as fh:

@@ -5,8 +5,9 @@ distillation for the distilling strategies, plain local SGD for the
 averaging ones), ship the results uplink through the packet codec,
 aggregate on the server, and ship the aggregate back downlink.  The server
 and every client share one student model.  The server updates it once per
-round with the reconstruction of the downlink bytes, which is exactly what
-a client decoding those bytes would apply, so one copy stands for all.
+round with the reconstruction of the downlink packet; the codec round-trips
+bitwise, so that is exactly what a client decoding the downlink bytes would
+apply, and one copy stands for all.
 
 Clients inside a round may execute on a thread pool.  Each owns its
 teacher and rng exclusively and only reads the shared student: evaluation
@@ -221,16 +222,16 @@ def server_aggregate(blobs: list[tuple[int, bytes]], server: ServerState,
     Distilling strategies average gradients unweighted and descend by the
     student rate; averaging strategies blend parameter deltas by the given
     weights and add the blend directly.  In both cases what the server
-    applies is the reconstruction of the downlink packet itself, so a client
-    applying the same bytes would land on exactly the same parameters.
+    applies is the reconstruction of the downlink packet itself; its
+    entries already hold the wire-dtype arrays the bytes carry, so a client
+    decoding and applying those bytes lands on exactly the same parameters.
     """
     if not blobs:
         raise RoundError("no uplink packets to aggregate")
-    template = server.student.params.zeros_like()
     acc = server.student.params.zeros_like()
     for cid, blob in sorted(blobs, key=lambda t: t[0]):
         try:
-            grad = decompress(decode_packet(blob), template)
+            grad = decompress(decode_packet(blob), server.student.params)
         except ValueError as e:
             raise RoundError(f"client {cid}: undecodable uplink: {e}") from e
         w = 1.0 / len(blobs) if weights is None else weights[cid]
@@ -242,7 +243,7 @@ def server_aggregate(blobs: list[tuple[int, bytes]], server: ServerState,
         down_pkt, down_fallbacks = raw_packet(acc, server.policy), 0
     down_blob = encode_packet(down_pkt)
 
-    applied = decompress(decode_packet(down_blob), template)
+    applied = decompress(down_pkt, server.student.params)
     scale = -server.student_lr if server.strategy in _DISTILLING else 1.0
     params_iadd_scaled(server.student.params, applied, scale)
     return down_blob, down_fallbacks

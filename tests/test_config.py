@@ -286,24 +286,37 @@ def test_cli_seed_override_changes_the_run(tmp_path):
         assert json.load(fh)["config"]["seed"] == 9
 
 
+def package_env(**extra) -> dict[str, str]:
+    """The environment of a child interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(fedkdx.__file__))
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_blas_thread_count_does_not_change_the_run(tmp_path):
     # 128 input dims make fc1.w a 128x64 matrix, large enough for OpenBLAS
     # to split its products and SVDs across threads
     dataset = {**SMALL_SYNTH, "dims": 128, "samples_per_class": 200}
     cfg_path = write_yaml(tmp_path, fast_raw(rounds=6, dataset=dataset))
-    src = os.path.dirname(os.path.dirname(fedkdx.__file__))
     outs = []
     for blas in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": blas,
-               "PYTHONPATH": os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = tmp_path / f"blas{blas}"
         subprocess.run([sys.executable, "-m", "fedkdx.cli", "run", "--config", cfg_path,
-                        "--out", str(out)], env=env, check=True, timeout=300,
-                       capture_output=True)
+                        "--out", str(out)], env=package_env(OPENBLAS_NUM_THREADS=blas),
+                       check=True, timeout=300, capture_output=True)
         outs.append((out / "metrics.csv").read_bytes())
     assert outs[0] == outs[1]
     assert outs[0].count(b"\n") == 7
+
+
+def test_cli_import_leaves_out_the_signal_toolbox():
+    # nothing on a run path filters or windows raw streams, so the CLI
+    # must not pay for importing scipy.signal
+    probe = "import sys, fedkdx.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=package_env(),
+                         check=True, timeout=120, capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_threads_flag(tmp_path, capsys):

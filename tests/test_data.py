@@ -2,8 +2,6 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fedkdx.data import (
     HAR_CHANNELS,
@@ -14,13 +12,10 @@ from fedkdx.data import (
     PartitionSpec,
     Sample,
     class_count_table,
-    gravity_split,
     load_ucihar,
     make_synthetic,
     partition,
-    preprocess_stream,
     samples_to_xy,
-    sliding_windows,
 )
 from fedkdx.data import _largest_remainder, _simplex_means, _stratified_split
 
@@ -51,7 +46,7 @@ def test_make_synthetic_layout():
     assert [int((labels == c).sum()) for c in range(3)] == [50, 50, 50]
     for s in samples:
         assert s.window.shape == (1, 6)
-        assert s.subject_id == s.label
+        assert s.subject == s.label
     x, y = samples_to_xy(samples)
     assert x.shape == (150, 1, 6) and y.shape == (150,)
 
@@ -74,115 +69,6 @@ def test_make_synthetic_is_seed_deterministic():
     c, _ = samples_to_xy(make_synthetic(3, 6, 20, 3.0, seed=8))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-# ------------------------------------------------------------------ windows
-
-def test_sliding_windows_pinned_arithmetic():
-    stream = np.arange(20.0).reshape(2, 10)
-    out = sliding_windows(stream, win=4, overlap_fraction=0.5)
-    assert out.shape == (4, 2, 4)  # starts 0, 2, 4, 6
-    assert np.array_equal(out[1], stream[:, 2:6])
-    # stride floors at one sample even at extreme overlap
-    dense = sliding_windows(stream, win=4, overlap_fraction=0.99)
-    assert dense.shape[0] == 7
-
-
-def test_sliding_windows_short_stream_gives_none():
-    assert sliding_windows(np.zeros((3, 5)), win=6, overlap_fraction=0.0).shape \
-        == (0, 3, 6)
-
-
-def test_sliding_windows_validation():
-    with pytest.raises(DataError):
-        sliding_windows(np.zeros(10), 4, 0.5)  # not (channels, T)
-    with pytest.raises(DataError):
-        sliding_windows(np.zeros((2, 10)), 0, 0.5)
-    with pytest.raises(DataError):
-        sliding_windows(np.zeros((2, 10)), 4, 1.0)
-
-
-@settings(max_examples=40)
-@given(t=st.integers(min_value=1, max_value=60),
-       win=st.integers(min_value=1, max_value=20),
-       ov=st.floats(min_value=0.0, max_value=0.95))
-def test_sliding_windows_are_exact_slices(t, win, ov):
-    stream = np.arange(2.0 * t).reshape(2, t)
-    out = sliding_windows(stream, win, ov)
-    stride = max(1, int(round(win * (1.0 - ov))))
-    expect = 0 if win > t else (t - win) // stride + 1
-    assert out.shape[0] == expect
-    for i in range(out.shape[0]):
-        assert np.array_equal(out[i], stream[:, i * stride:i * stride + win])
-
-
-# ---------------------------------------------------------------- filtering
-
-def test_constant_signal_passes_unchanged():
-    sig = np.full((3, 200), 7.5)
-    out = preprocess_stream(sig)
-    assert np.abs(out - 7.5).max() < 1e-12
-
-
-def test_median_stage_removes_single_sample_spikes():
-    sig = np.full((1, 200), 1.0)
-    sig[0, 60] = 50.0
-    out = preprocess_stream(sig, median_width=3)
-    assert np.abs(out - 1.0).max() < 1e-9
-
-
-def test_lowpass_attenuation_meets_the_analog_rolloff():
-    # cutoff far below Nyquist so the probe tones stay representable;
-    # frequency warping makes the digital stopband only steeper
-    fs, fc, order = 50.0, 5.0, 3
-    t = np.arange(4000) / fs
-    for mult in (1.5, 2.0, 3.0, 4.0):
-        f = fc * mult
-        tone = np.sin(2 * np.pi * f * t)[None, :]
-        # median width 1 isolates the linear stage
-        out = preprocess_stream(tone, median_width=1, butter_order=order,
-                                cutoff_hz=fc, fs_hz=fs)
-        steady = out[0, 1000:]
-        atten_db = -20 * np.log10(np.abs(steady).max())
-        floor_db = 10 * np.log10(1.0 + (f / fc) ** (2 * order))
-        assert atten_db >= floor_db - 1e-6
-
-
-def test_filter_is_causal():
-    rng = np.random.default_rng(2)
-    sig = rng.normal(size=(2, 300))
-    changed = sig.copy()
-    changed[:, 150:] += rng.normal(size=(2, 150))
-    a = preprocess_stream(sig)
-    b = preprocess_stream(changed)
-    assert np.array_equal(a[:, :150], b[:, :150])
-    assert not np.array_equal(a[:, 150:], b[:, 150:])
-
-
-def test_preprocess_validation():
-    with pytest.raises(DataError):
-        preprocess_stream(np.zeros((2, 100)), median_width=4)  # even
-    with pytest.raises(DataError):
-        preprocess_stream(np.zeros((2, 3)), median_width=3)    # too short
-    with pytest.raises(DataError):
-        preprocess_stream(np.zeros((2, 100)), cutoff_hz=25.0, fs_hz=50.0)
-    with pytest.raises(DataError):
-        preprocess_stream(np.zeros(100))
-
-
-def test_gravity_split_separates_dc_from_motion():
-    fs = 50.0
-    t = np.arange(3000) / fs
-    sig = (9.8 + 0.5 * np.sin(2 * np.pi * 5.0 * t))[None, :]
-    gravity, body = gravity_split(sig, fs)
-    assert np.array_equal(gravity + body, gravity + (sig - gravity))
-    settled = slice(1000, None)
-    assert np.abs(gravity[0, settled] - 9.8).max() < 0.05
-    assert np.abs(body[0, settled]).max() > 0.4  # the tone survives
-    const = np.full((2, 500), 3.0)
-    g, b = gravity_split(const, fs)
-    assert np.abs(g - 3.0).max() < 1e-12
-    assert np.abs(b).max() < 1e-12
 
 
 # ------------------------------------------------------------- partitioning
@@ -221,7 +107,7 @@ def test_by_subject_round_robin_over_sorted_subjects():
             windowless(0, 2), windowless(1, 9)]
     spec = PartitionSpec(mode=MODE_BY_SUBJECT, num_clients=2, train_fraction=0.5)
     shards = partition(pool, spec, np.random.default_rng(0))
-    subj = [sorted({s.subject_id for s in sh.train + sh.test}) for sh in shards]
+    subj = [sorted({s.subject for s in sh.train + sh.test}) for sh in shards]
     assert subj == [[2, 9], [5]]
 
 
@@ -310,7 +196,7 @@ def test_load_ucihar_pools_both_splits(tmp_path):
     for s in samples:
         assert s.window.shape == (9, 128)
         assert 0 <= s.label <= 5          # disk labels are 1-based
-        assert 1 <= s.subject_id <= 30
+        assert 1 <= s.subject <= 30
 
 
 def test_load_ucihar_descends_into_the_archive_directory(tmp_path):
