@@ -16,14 +16,13 @@ u32 R, then U, sigma, V).
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import SvdNonConvergence, thin_svd
-from .nn import MAX_DIMS, LayerParam, ModelParams
+from .nn import ByteReader, LayerParam, ModelParams
 
 PACKET_MAGIC = b"FKDG0001"
 
@@ -238,44 +237,25 @@ def encode_packet(pkt: GradientPacket) -> bytes:
 
 
 def decode_packet(buf: bytes) -> GradientPacket:
-    pos = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal pos
-        if pos + n > len(buf):
-            raise CodecError(f"truncated packet: wanted {n} bytes for {what} "
-                             f"at offset {pos}, have {len(buf) - pos}")
-        chunk = buf[pos:pos + n]
-        pos += n
-        return chunk
-
-    if take(len(PACKET_MAGIC), "magic") != PACKET_MAGIC:
+    r = ByteReader(buf, CodecError, "<I")
+    if r.take(len(PACKET_MAGIC), "packet magic") != PACKET_MAGIC:
         raise CodecError(f"bad magic, expected {PACKET_MAGIC!r}")
-    (count,) = struct.unpack("<I", take(4, "entry count"))
+    (count,) = r.unpack("<I", "entry count")
     entries = []
     for i in range(count):
-        (name_len,) = struct.unpack("<H", take(2, f"entry {i} name length"))
-        try:
-            name = take(name_len, f"entry {i} name").decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise CodecError(f"entry {i}: layer name is not UTF-8: {e}") from e
-        mode, prec_code = struct.unpack("<BB", take(2, f"layer {name!r} header"))
+        (name_len,) = r.unpack("<H", f"entry {i} name length")
+        name = r.text(name_len, f"entry {i} layer name")
+        mode, prec_code = r.unpack("<BB", f"layer {name!r} header")
         if mode not in (MODE_RAW, MODE_LOWRANK, MODE_LOWRANK_T):
             raise CodecError(f"layer {name!r}: unknown mode {mode}")
         if prec_code not in _PRECISION_NAME:
             raise CodecError(f"layer {name!r}: unknown precision code {prec_code}")
         precision = _PRECISION_NAME[prec_code]
         dtype = _WIRE_DTYPE[precision]
-        (ndim,) = struct.unpack("<I", take(4, f"layer {name!r} dim count"))
-        if ndim > MAX_DIMS:
-            raise CodecError(f"layer {name!r}: {ndim} dims, at most {MAX_DIMS}")
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"layer {name!r} dims")) \
-            if ndim else ()
-        size = math.prod(shape)  # Python ints: a hostile shape cannot wrap to 0
+        shape, size = r.shape(f"layer {name!r}")
 
         if mode == MODE_RAW:
-            values = np.frombuffer(take(size * dtype.itemsize, f"layer {name!r} values"),
-                                   dtype=dtype).reshape(shape).copy()
+            values = r.array(size, dtype, f"layer {name!r} values").reshape(shape)
             entries.append(PacketEntry(name, shape, mode, precision, raw=values))
             continue
 
@@ -285,17 +265,13 @@ def decode_packet(buf: bytes) -> GradientPacket:
         q = size // p if p else 0
         if mode == MODE_LOWRANK_T:
             p, q = q, p
-        (rank,) = struct.unpack("<I", take(4, f"layer {name!r} rank"))
+        (rank,) = r.unpack("<I", f"layer {name!r} rank")
         if rank < 1 or rank > min(p, q):
             raise CodecError(f"layer {name!r}: rank {rank} invalid for {p}x{q}")
-        u = np.frombuffer(take(p * rank * dtype.itemsize, f"layer {name!r} U"),
-                          dtype=dtype).reshape(p, rank).copy()
-        sigma = np.frombuffer(take(rank * dtype.itemsize, f"layer {name!r} sigma"),
-                              dtype=dtype).copy()
-        vt = np.frombuffer(take(rank * q * dtype.itemsize, f"layer {name!r} V"),
-                           dtype=dtype).reshape(rank, q).copy()
+        u = r.array(p * rank, dtype, f"layer {name!r} U").reshape(p, rank)
+        sigma = r.array(rank, dtype, f"layer {name!r} sigma")
+        vt = r.array(rank * q, dtype, f"layer {name!r} V").reshape(rank, q)
         entries.append(PacketEntry(name, shape, mode, precision,
                                    rank=rank, u=u, sigma=sigma, vt=vt))
-    if pos != len(buf):
-        raise CodecError(f"{len(buf) - pos} trailing bytes after last entry")
+    r.finish("entry")
     return GradientPacket(entries)

@@ -210,7 +210,8 @@ def config_from_dict(raw: dict) -> RunConfig:
                     values = list(DEFAULT_JOIN_SWEEP)
                 if not values:
                     problems.append("sweep.values: empty list")
-                elif not all(isinstance(v, (int, float)) and 0 < v <= 1 for v in values):
+                elif not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                             and 0 < v <= 1 for v in values):
                     problems.append("sweep.values: join ratios must lie in (0, 1]")
             else:
                 if values:
@@ -260,8 +261,11 @@ def _range_problems(cfg: RunConfig) -> list[str]:
     if cfg.dataset.kind == "synthetic":
         if cfg.dataset.num_classes < 2:
             problems.append(f"dataset.num_classes: must be >= 2, got {cfg.dataset.num_classes}")
-        if cfg.dataset.dims < 1:
-            problems.append(f"dataset.dims: must be >= 1, got {cfg.dataset.dims}")
+        # the class means sit on a regular simplex in num_classes-1 dims
+        need = max(1, cfg.dataset.num_classes - 1)
+        if cfg.dataset.dims < need:
+            problems.append(f"dataset.dims: must be >= {need} for "
+                            f"{cfg.dataset.num_classes} classes, got {cfg.dataset.dims}")
         if cfg.dataset.samples_per_class < 1:
             problems.append("dataset.samples_per_class: must be >= 1")
         if cfg.dataset.separation < 0:

@@ -81,6 +81,14 @@ def _read_matrix(path: str) -> np.ndarray:
         raise DataError(f"unreadable dataset file {path}: {e}") from e
 
 
+def _read_ids(path: str) -> np.ndarray:
+    """A label or subject file: one integer per row."""
+    ids = _read_matrix(path).ravel()
+    if not (np.isfinite(ids).all() and (ids == np.round(ids)).all()):
+        raise DataError(f"{path}: expected one integer per row")
+    return ids
+
+
 def load_ucihar(root: str) -> list[Sample]:
     """Read both archive splits into one pooled sample list.
 
@@ -106,8 +114,11 @@ def load_ucihar(root: str) -> list[Sample]:
                 raise DataError(
                     f"row-count mismatch in {split}: {name} has {mat.shape[0]} rows, "
                     f"{HAR_CHANNELS[0]} has {rows}")
-        labels = _read_matrix(os.path.join(base, f"y_{split}.txt")).ravel()
-        subjects = _read_matrix(os.path.join(base, f"subject_{split}.txt")).ravel()
+        label_path = os.path.join(base, f"y_{split}.txt")
+        labels = _read_ids(label_path)
+        if labels.min(initial=1) < 1:
+            raise DataError(f"{label_path}: labels count from 1, found {labels.min():g}")
+        subjects = _read_ids(os.path.join(base, f"subject_{split}.txt"))
         if labels.shape[0] != rows or subjects.shape[0] != rows:
             raise DataError(
                 f"row-count mismatch in {split}: {rows} windows vs "

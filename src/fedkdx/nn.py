@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 
@@ -141,11 +142,6 @@ class ForwardTrace:
     layer_shapes: tuple     # fingerprint to pair trace with its params
 
 
-def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def cnn_shape_walk(in_channels: int, in_length: int) -> dict:
     """Spatial sizes through the conv stack; raises naming the first layer
     that would produce an empty output."""
@@ -169,59 +165,66 @@ def cnn_shape_walk(in_channels: int, in_length: int) -> dict:
             "flat": CONV_FILTERS[1] * p2}
 
 
+def layout(arch: str, meta: dict) -> tuple[list, list]:
+    """The ordered (name, shape) lists of an architecture's parameters and
+    of its running statistics, as its meta dict sizes them.
+
+    Integer arithmetic only, so a checkpoint's meta block is checked against
+    the records read without allocating anything it names.
+    """
+    if arch not in (ARCH_CNN, ARCH_MLP):
+        raise ArchitectureError(f"unknown architecture {arch!r}")
+    k = operator.index(meta["num_classes"])
+    if k < 2:
+        raise ArchitectureError(f"num_classes must be >= 2, got {k}")
+    if arch == ARCH_MLP:
+        (d1, d2), d_in = MLP_DENSE, operator.index(meta["in_dim"])
+        if d_in < 1:
+            raise ArchitectureError(f"in_dim must be >= 1, got {d_in}")
+        front, stats = [], []
+    else:
+        (d1, d2), (f1, f2), c = CNN_DENSE, CONV_FILTERS, operator.index(meta["in_channels"])
+        d_in = cnn_shape_walk(c, operator.index(meta["in_length"]))["flat"]
+        front = [("conv1.w", (f1, c, CONV_KERNEL)), ("conv1.b", (f1,)),
+                 ("bn1.gamma", (f1,)), ("bn1.beta", (f1,)),
+                 ("conv2.w", (f2, f1, CONV_KERNEL)), ("conv2.b", (f2,)),
+                 ("bn2.gamma", (f2,)), ("bn2.beta", (f2,))]
+        stats = [("bn1.running_mean", (f1,)), ("bn1.running_var", (f1,)),
+                 ("bn2.running_mean", (f2,)), ("bn2.running_var", (f2,))]
+    return front + [("fc1.w", (d_in, d1)), ("fc1.b", (d1,)), ("fc2.w", (d1, d2)),
+                    ("fc2.b", (d2,)), ("head.w", (d2, k)), ("head.b", (k,))], stats
+
+
+def _build(arch: str, meta: dict, seed: int) -> Model:
+    """Weights uniform in +-1/sqrt(fan in), drawn from one stream in layout
+    order; batch-norm scales and running variances start at 1, the rest at 0."""
+    param_layout, stat_layout = layout(arch, meta)
+    rng = np.random.default_rng(seed)
+
+    def initial(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if name.endswith(".w"):
+            # dense weights are (in, out); conv kernels (filters, channels, width)
+            bound = 1.0 / np.sqrt(shape[0] if len(shape) == 2 else math.prod(shape[1:]))
+            return rng.uniform(-bound, bound, size=shape)
+        return np.ones(shape) if name.endswith((".gamma", "_var")) else np.zeros(shape)
+
+    layers = [LayerParam(name, initial(name, shape)) for name, shape in param_layout]
+    return Model(ModelParams(arch, layers, meta),
+                 {name: initial(name, shape) for name, shape in stat_layout})
+
+
 def build_cnn_har(in_channels: int, in_length: int, num_classes: int, seed: int) -> Model:
     """Two conv blocks (conv -> batchnorm -> relu -> maxpool) into three
     dense layers; the 128-wide dense output (post-relu) is the feature tap."""
-    if num_classes < 2:
-        raise ArchitectureError(f"num_classes must be >= 2, got {num_classes}")
-    walk = cnn_shape_walk(in_channels, in_length)
-    f1, f2 = CONV_FILTERS
-    d1, d2 = CNN_DENSE
-    rng = np.random.default_rng(seed)
-    layers = [
-        LayerParam("conv1.w", _uniform_init(rng, (f1, in_channels, CONV_KERNEL),
-                                            in_channels * CONV_KERNEL)),
-        LayerParam("conv1.b", np.zeros(f1)),
-        LayerParam("bn1.gamma", np.ones(f1)),
-        LayerParam("bn1.beta", np.zeros(f1)),
-        LayerParam("conv2.w", _uniform_init(rng, (f2, f1, CONV_KERNEL), f1 * CONV_KERNEL)),
-        LayerParam("conv2.b", np.zeros(f2)),
-        LayerParam("bn2.gamma", np.ones(f2)),
-        LayerParam("bn2.beta", np.zeros(f2)),
-        LayerParam("fc1.w", _uniform_init(rng, (walk["flat"], d1), walk["flat"])),
-        LayerParam("fc1.b", np.zeros(d1)),
-        LayerParam("fc2.w", _uniform_init(rng, (d1, d2), d1)),
-        LayerParam("fc2.b", np.zeros(d2)),
-        LayerParam("head.w", _uniform_init(rng, (d2, num_classes), d2)),
-        LayerParam("head.b", np.zeros(num_classes)),
-    ]
-    meta = {"in_channels": in_channels, "in_length": in_length,
-            "num_classes": num_classes, "feature_dim": d2}
-    params = ModelParams(ARCH_CNN, layers, meta)
-    bn = {"bn1.running_mean": np.zeros(f1), "bn1.running_var": np.ones(f1),
-          "bn2.running_mean": np.zeros(f2), "bn2.running_var": np.ones(f2)}
-    return Model(params, bn)
+    return _build(ARCH_CNN, {"in_channels": in_channels, "in_length": in_length,
+                             "num_classes": num_classes, "feature_dim": CNN_DENSE[1]}, seed)
 
 
 def build_mlp(in_dim: int, num_classes: int, seed: int) -> Model:
     """Dense(64) -> relu -> Dense(32) -> Dense(C); the 32-wide affine output
     is the feature tap."""
-    if num_classes < 2:
-        raise ArchitectureError(f"num_classes must be >= 2, got {num_classes}")
-    if in_dim < 1:
-        raise ArchitectureError(f"in_dim must be >= 1, got {in_dim}")
-    d1, d2 = MLP_DENSE
-    rng = np.random.default_rng(seed)
-    layers = [
-        LayerParam("fc1.w", _uniform_init(rng, (in_dim, d1), in_dim)),
-        LayerParam("fc1.b", np.zeros(d1)),
-        LayerParam("fc2.w", _uniform_init(rng, (d1, d2), d1)),
-        LayerParam("fc2.b", np.zeros(d2)),
-        LayerParam("head.w", _uniform_init(rng, (d2, num_classes), d2)),
-        LayerParam("head.b", np.zeros(num_classes)),
-    ]
-    meta = {"in_dim": in_dim, "num_classes": num_classes, "feature_dim": d2}
-    return Model(ModelParams(ARCH_MLP, layers, meta), {})
+    return _build(ARCH_MLP, {"in_dim": in_dim, "num_classes": num_classes,
+                             "feature_dim": MLP_DENSE[1]}, seed)
 
 
 # ---------------------------------------------------------------- forward
@@ -274,8 +277,8 @@ def forward(model: Model, x: np.ndarray, mode: str) -> ForwardTrace:
         raise ValueError("input batch must be finite")
     caches: dict = {}
 
+    m = params.meta
     if params.arch == ARCH_CNN:
-        m = params.meta
         if x.ndim != 3 or x.shape[1] != m["in_channels"] or x.shape[2] != m["in_length"]:
             raise ValueError(
                 f"expected input (B, {m['in_channels']}, {m['in_length']}), got {x.shape}")
@@ -297,32 +300,24 @@ def forward(model: Model, x: np.ndarray, mode: str) -> ForwardTrace:
             caches[f"pool{blk}"] = pool_cache
         caches["conv_out_shape"] = h.shape
         h = h.reshape(h.shape[0], -1)
-        caches["fc1.in"] = h
-        h = h @ params.get("fc1.w") + params.get("fc1.b")
-        mask = h > 0
-        caches["relu_fc1"] = mask
-        h = h * mask
-        caches["fc2.in"] = h
-        h = h @ params.get("fc2.w") + params.get("fc2.b")
-        mask = h > 0
-        caches["relu_fc2"] = mask
-        features = h * mask
     elif params.arch == ARCH_MLP:
-        m = params.meta
-        if x.ndim == 3:
-            x = x.reshape(x.shape[0], -1)
-        if x.ndim != 2 or x.shape[1] != m["in_dim"]:
-            raise ValueError(f"expected input with {m['in_dim']} values per sample, got {x.shape}")
-        caches["fc1.in"] = x
-        h = x @ params.get("fc1.w") + params.get("fc1.b")
-        mask = h > 0
-        caches["relu_fc1"] = mask
-        h = h * mask
-        caches["fc2.in"] = h
-        features = h @ params.get("fc2.w") + params.get("fc2.b")
+        h = x.reshape(x.shape[0], -1) if x.ndim == 3 else x
+        if h.ndim != 2 or h.shape[1] != m["in_dim"]:
+            raise ValueError(f"expected input with {m['in_dim']} values per sample, got {h.shape}")
     else:
         raise ValueError(f"unknown architecture {params.arch!r}")
 
+    caches["fc1.in"] = h
+    h = h @ params.get("fc1.w") + params.get("fc1.b")
+    mask = h > 0
+    caches["relu_fc1"] = mask
+    h = h * mask
+    caches["fc2.in"] = h
+    features = h @ params.get("fc2.w") + params.get("fc2.b")
+    if params.arch == ARCH_CNN:
+        mask = features > 0
+        caches["relu_fc2"] = mask
+        features = features * mask
     caches["head.in"] = features
     logits = features @ params.get("head.w") + params.get("head.b")
     return ForwardTrace(params.arch, mode, logits, features, caches,
@@ -398,19 +393,20 @@ def backward(params: ModelParams, trace: ForwardTrace, grad_logits: np.ndarray,
     caches = trace.caches
     g: dict[str, np.ndarray] = {}
 
-    feat_in = caches["head.in"]
-    g["head.w"] = feat_in.T @ grad_logits
+    g["head.w"] = caches["head.in"].T @ grad_logits
     g["head.b"] = grad_logits.sum(axis=0)
     dh = grad_logits @ params.get("head.w").T + grad_features
 
     if params.arch == ARCH_CNN:
         dh = dh * caches["relu_fc2"]
-        g["fc2.w"] = caches["fc2.in"].T @ dh
-        g["fc2.b"] = dh.sum(axis=0)
-        dh = dh @ params.get("fc2.w").T
-        dh = dh * caches["relu_fc1"]
-        g["fc1.w"] = caches["fc1.in"].T @ dh
-        g["fc1.b"] = dh.sum(axis=0)
+    g["fc2.w"] = caches["fc2.in"].T @ dh
+    g["fc2.b"] = dh.sum(axis=0)
+    dh = dh @ params.get("fc2.w").T
+    dh = dh * caches["relu_fc1"]
+    g["fc1.w"] = caches["fc1.in"].T @ dh
+    g["fc1.b"] = dh.sum(axis=0)
+
+    if params.arch == ARCH_CNN:
         dh = dh @ params.get("fc1.w").T
         dh = dh.reshape(caches["conv_out_shape"])
         for blk in ("2", "1"):
@@ -423,15 +419,6 @@ def backward(params: ModelParams, trace: ForwardTrace, grad_logits: np.ndarray,
             # nothing upstream of the input batch needs its gradient
             dh, g[f"conv{blk}.w"], g[f"conv{blk}.b"] = _conv1d_backward(
                 dh, caches[f"conv{blk}"], params.get(f"conv{blk}.w"), input_grad=blk == "2")
-    elif params.arch == ARCH_MLP:
-        g["fc2.w"] = caches["fc2.in"].T @ dh
-        g["fc2.b"] = dh.sum(axis=0)
-        dh = dh @ params.get("fc2.w").T
-        dh = dh * caches["relu_fc1"]
-        g["fc1.w"] = caches["fc1.in"].T @ dh
-        g["fc1.b"] = dh.sum(axis=0)
-    else:
-        raise ValueError(f"unknown architecture {params.arch!r}")
 
     return ModelParams(params.arch,
                        [LayerParam(l.name, g[l.name]) for l in params.layers],
@@ -466,109 +453,93 @@ def save_checkpoint(model: Model, path: str) -> None:
         fh.write(blob)
 
 
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
+class ByteReader:
+    """Bounded reads over untrusted bytes, raising the format's own error
+    class.  Lengths are checked before anything is sliced or allocated, and
+    element counts are Python ints, so a hostile shape cannot wrap to 0."""
 
-    def take(self, n: int) -> bytes:
+    def __init__(self, buf: bytes, error: type[Exception], dim_count: str):
+        # dim_count: struct format of the count that prefixes each shape
+        self.buf, self.pos, self.error, self.dim_count = buf, 0, error, dim_count
+
+    def take(self, n: int, what: str) -> bytes:
         if self.pos + n > len(self.buf):
-            raise CheckpointError(
-                f"truncated checkpoint: wanted {n} bytes at offset {self.pos}, "
-                f"have {len(self.buf) - self.pos}")
+            raise self.error(f"truncated {what}: wanted {n} bytes at offset {self.pos}, "
+                             f"have {len(self.buf) - self.pos}")
         chunk = self.buf[self.pos:self.pos + n]
         self.pos += n
         return chunk
 
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
     def text(self, n: int, what: str) -> str:
         try:
-            return self.take(n).decode("utf-8")
+            return self.take(n, what).decode("utf-8")
         except UnicodeDecodeError as e:
-            raise CheckpointError(f"{what} is not UTF-8: {e}") from e
+            raise self.error(f"{what} is not UTF-8: {e}") from e
 
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+    def shape(self, what: str) -> tuple[tuple[int, ...], int]:
+        """A dim count, then that many u32 dims; returns (dims, element count)."""
+        (ndim,) = self.unpack(self.dim_count, f"{what} dim count")
+        if ndim > MAX_DIMS:
+            raise self.error(f"{what}: {ndim} dims, at most {MAX_DIMS}")
+        dims = self.unpack(f"<{ndim}I", f"{what} dims") if ndim else ()
+        return dims, math.prod(dims)
+
+    def array(self, count: int, dtype: np.dtype, what: str) -> np.ndarray:
+        return np.frombuffer(self.take(count * dtype.itemsize, what), dtype=dtype).copy()
+
+    def finish(self, what: str) -> None:
+        if self.pos != len(self.buf):
+            raise self.error(f"{len(self.buf) - self.pos} trailing bytes after last {what}")
 
 
 def load_checkpoint(path: str) -> Model:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    r = _Reader(buf)
-    magic = r.take(len(CHECKPOINT_MAGIC))
+        r = ByteReader(fh.read(), CheckpointError, "<B")
+    magic = r.take(len(CHECKPOINT_MAGIC), "checkpoint magic")
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-    (arch_len,) = r.unpack("<H")
+    (arch_len,) = r.unpack("<H", "architecture tag length")
     arch = r.text(arch_len, "architecture tag")
-    (meta_len,) = r.unpack("<I")
+    (meta_len,) = r.unpack("<I", "meta block length")
     try:
-        meta = json.loads(r.take(meta_len).decode("utf-8"))
+        meta = json.loads(r.take(meta_len, "meta block").decode("utf-8"))
     except ValueError as e:
         raise CheckpointError(f"unreadable meta block: {e}") from e
-    (n_records,) = r.unpack("<I")
-    layers: list[LayerParam] = []
-    bn: dict[str, np.ndarray] = {}
-    for _ in range(n_records):
-        kind, name_len = r.unpack("<BH")
-        name = r.text(name_len, "layer name")
-        (ndim,) = r.unpack("<B")
-        if ndim > MAX_DIMS:
-            raise CheckpointError(f"layer {name!r}: {ndim} dims, at most {MAX_DIMS}")
-        dims = r.unpack(f"<{ndim}I") if ndim else ()
-        count = math.prod(dims)  # Python ints: a hostile shape cannot wrap to 0
-        values = np.frombuffer(r.take(count * 8), dtype="<f8").reshape(dims).copy()
+    (n_records,) = r.unpack("<I", "record count")
+    layers, stats = [], []
+    for i in range(n_records):
+        kind, name_len = r.unpack("<BH", f"record {i} header")
+        name = r.text(name_len, f"record {i} layer name")
+        dims, count = r.shape(f"layer {name!r}")
+        values = r.array(count, np.dtype("<f8"), f"layer {name!r} values").reshape(dims)
         if kind == 0:
             layers.append(LayerParam(name, values))
         elif kind == 1:
-            bn[name] = values
+            stats.append((name, values))
         else:
             raise CheckpointError(f"unknown record kind {kind} for layer {name!r}")
-    if r.pos != len(buf):
-        raise CheckpointError(f"{len(buf) - r.pos} trailing bytes after last record")
+    r.finish("record")
 
     try:
-        model = Model(ModelParams(arch, layers, meta), bn)
+        params = ModelParams(arch, layers, meta)
     except ValueError as e:  # duplicate layer names
         raise CheckpointError(f"bad layer records: {e}") from e
-    _validate_structure(model)
-    return model
+    _validate_structure(params, stats)
+    return Model(params, dict(stats))
 
 
-def _meta_dims(arch: str, m: dict) -> dict[tuple[str, int], int]:
-    """The record axes whose sizes the meta block fixes, as
-    (layer name, axis) -> size; integer arithmetic only."""
-    if arch == ARCH_CNN:
-        flat = cnn_shape_walk(m["in_channels"], m["in_length"])["flat"]
-        return {("conv1.w", 1): m["in_channels"], ("fc1.w", 0): flat,
-                ("head.w", 1): m["num_classes"]}
-    if arch == ARCH_MLP:
-        return {("fc1.w", 0): m["in_dim"], ("head.w", 1): m["num_classes"]}
-    raise CheckpointError(f"unknown architecture {arch!r}")
-
-
-def _validate_structure(model: Model) -> None:
-    """Rebuild a skeleton from the stored meta and compare layer layout;
-    catches structurally corrupt files with intact framing.
-
-    The meta dims are first checked against the shapes of the records
-    already read, so the skeleton is never larger than the file itself.
-    """
-    m = model.params.meta
-    shapes = {l.name: l.shape for l in model.params.layers}
+def _validate_structure(params: ModelParams, stats: list) -> None:
+    """Compare the records read with the layout the meta block gives;
+    catches structurally corrupt files with intact framing."""
     try:
-        for (name, axis), size in _meta_dims(model.params.arch, m).items():
-            if len(shapes.get(name, ())) <= axis or shapes[name][axis] != size:
-                raise CheckpointError(
-                    f"checkpoint meta does not match layer {name!r}: "
-                    f"axis {axis} should be {size}, shape is {shapes.get(name)}")
-        if model.params.arch == ARCH_CNN:
-            ref = build_cnn_har(m["in_channels"], m["in_length"], m["num_classes"], seed=0)
-        else:
-            ref = build_mlp(m["in_dim"], m["num_classes"], seed=0)
+        want_params, want_stats = layout(params.arch, params.meta)
     except (KeyError, TypeError, ArchitectureError) as e:
         raise CheckpointError(f"inconsistent checkpoint meta: {e}") from e
-    got = [(l.name, l.shape) for l in model.params.layers]
-    want = [(l.name, l.shape) for l in ref.params.layers]
-    if got != want:
-        raise CheckpointError(f"layer layout mismatch: {got} != {want}")
-    if sorted(model.bn) != sorted(ref.bn):
-        raise CheckpointError("running-statistics records do not match the architecture")
+    got = ([(l.name, l.shape) for l in params.layers],
+           sorted((name, v.shape) for name, v in stats))
+    # print the meta, not the shapes it gives: those can be too long for str()
+    if got != (want_params, sorted(want_stats)):
+        raise CheckpointError(f"records {got} do not match the checkpoint meta {params.meta}")

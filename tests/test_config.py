@@ -99,6 +99,10 @@ def test_dataset_section_rules():
         config_from_dict({"dataset": {"kind": "mnist"}})
     with pytest.raises(ConfigError, match="dataset.root: required for ucihar"):
         config_from_dict({"dataset": {"kind": "ucihar"}})
+    # three classes fit a simplex in two dims; five do not
+    config_from_dict({"dataset": {"kind": "synthetic", "num_classes": 3, "dims": 2}})
+    with pytest.raises(ConfigError, match="dataset.dims: must be >= 4"):
+        config_from_dict({"dataset": {"kind": "synthetic", "num_classes": 5, "dims": 2}})
     # ucihar root is not touched at config time; loading checks it
     cfg = config_from_dict({"dataset": {"kind": "ucihar", "root": "/nonexistent"}})
     assert cfg.dataset.root == "/nonexistent"
@@ -123,6 +127,9 @@ def test_sweep_section_rules():
     with pytest.raises(ConfigError, match=r"join ratios must lie in \(0, 1\]"):
         config_from_dict({**copy.deepcopy(MINIMAL),
                           "sweep": {"axis": "join_ratio", "values": [0.5, 2.0]}})
+    with pytest.raises(ConfigError, match=r"join ratios must lie in \(0, 1\]"):
+        config_from_dict({**copy.deepcopy(MINIMAL),
+                          "sweep": {"axis": "join_ratio", "values": [True, 0.5]}})
     with pytest.raises(ConfigError, match="fixed rows"):
         config_from_dict({**copy.deepcopy(MINIMAL),
                           "sweep": {"axis": "components", "values": ["base"]}})

@@ -215,6 +215,19 @@ def test_load_ucihar_rejects_malformed_trees(tmp_path):
     with pytest.raises(DataError, match="missing dataset file"):
         load_ucihar(str(b))
 
+    # disk labels count from 1, and labels and subjects are integers
+    for label, (fname, text, match) in {
+            "label0": ("y_train.txt", "1\n0\n2\n", "y_train.txt: labels count from 1"),
+            "label_frac": ("y_test.txt", "1\n2.5\n", "y_test.txt: expected one integer"),
+            "subject_frac": ("subject_train.txt", "1\n2\n3.5\n",
+                             "subject_train.txt: expected one integer")}.items():
+        root = write_fake_archive(str(tmp_path / label))
+        split = "test" if "test" in fname else "train"
+        with open(os.path.join(root, split, fname), "w") as fh:
+            fh.write(text)
+        with pytest.raises(DataError, match=match):
+            load_ucihar(root)
+
 
 def test_class_count_table_counts_train_and_test():
     shards = partition(labeled_pool([10, 6]),

@@ -360,6 +360,27 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(CheckpointError):
         load_checkpoint(renamed)
 
+    # a running statistic with the right name and the wrong length
+    cnn = small_cnn()
+    cnn.bn["bn1.running_mean"] = np.zeros(5)
+    short_stats = str(tmp_path / "short_stats.ckpt")
+    save_checkpoint(cnn, short_stats)
+    with pytest.raises(CheckpointError, match="do not match the checkpoint meta"):
+        load_checkpoint(short_stats)
+
+    # the last running statistic stored twice, the record count raised to match
+    save_checkpoint(small_cnn(), short_stats)
+    blob = open(short_stats, "rb").read()
+    arch_len = struct.unpack("<H", blob[8:10])[0]
+    count_at = 14 + arch_len + struct.unpack("<I", blob[10 + arch_len:14 + arch_len])[0]
+    (count,) = struct.unpack("<I", blob[count_at:count_at + 4])
+    last = blob.rindex(b"bn2.running_var") - 3  # record kind u8, name length u16
+    twice = str(tmp_path / "twice.ckpt")
+    open(twice, "wb").write(blob[:count_at] + struct.pack("<I", count + 1)
+                            + blob[count_at + 4:] + blob[last:])
+    with pytest.raises(CheckpointError, match="do not match the checkpoint meta"):
+        load_checkpoint(twice)
+
 
 def test_checkpoint_rejects_oversize_dims_and_malformed_text(tmp_path):
     model = build_mlp(4, 3, seed=0)
