@@ -8,6 +8,8 @@ reported with its dotted path, all at once.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import yaml
@@ -154,12 +156,15 @@ _SWEEP_KEYS = {"axis": str, "values": list}
 
 def _coerce(value, want, path, problems):
     if want is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
     if want is int and isinstance(value, bool):
         problems.append(f"{path}: expected {want.__name__}, got bool")
         return None
     if not isinstance(value, want):
         problems.append(f"{path}: expected {want.__name__}, got {type(value).__name__}")
+        return None
+    if want is float and not math.isfinite(value):
+        problems.append(f"{path}: must be a finite number")
         return None
     return value
 

@@ -150,7 +150,7 @@ def client_local_step_fedkdx(state: ClientState, student: Model,
     """
     n = state.num_train
     if n == 0:
-        raise RoundError(f"client {state.client_id}: empty training shard")
+        raise RoundError("empty training shard")
     grad_acc = student.params.zeros_like()
     for done, idx in enumerate(_epoch_batches(n, state.batch_size, state.rng), 1):
         xb = state.x_train[idx]
@@ -179,7 +179,7 @@ def client_local_step_fedavg(state: ClientState, prox_mu: float,
     """
     n = state.num_train
     if n == 0:
-        raise RoundError(f"client {state.client_id}: empty training shard")
+        raise RoundError("empty training shard")
     start = state.student_view.params
     local = state.student_view.copy()
     for _ in range(epochs):
@@ -279,7 +279,10 @@ def run_round(server: ServerState, clients: dict[int, ClientState], cfg: LossCon
     participants = sample_clients(sorted(clients), server.join_ratio, server.sampler_rng)
 
     def one(cid: int) -> tuple[bytes, int]:
-        return _client_uplink(clients[cid], server, cfg, eps)
+        try:
+            return _client_uplink(clients[cid], server, cfg, eps)
+        except Exception as e:
+            raise RoundError(f"client {cid}: {e}") from e
 
     if threads == 1:
         results = {cid: one(cid) for cid in participants}

@@ -4,6 +4,11 @@ Every loss returns its scalar value together with analytic gradients, so
 the networks never need an autograd engine.  Distillation terms always
 treat the peer model's outputs as constants: gradients flow only into the
 first (own) argument.
+
+The row kernels take (..., B, C) arrays.  ``combined_loss`` stacks the
+teacher and student logits into one (2, B, C) array, teacher first, so
+each kernel runs once for both sides; a side's peer is the stack reversed
+along its leading axis.  The one-sample losses call the same kernels.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ class LossConfig:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         for name in ("kd_weight", "nkd_weight", "ctl_weight"):
             w = getattr(self, name)
-            if w < 0:
+            if not w >= 0:
                 raise ValueError(f"{name} must be non-negative, got {w}")
 
 
@@ -68,13 +73,13 @@ def _check_labels(labels, num_classes: int) -> np.ndarray:
     return y.astype(np.intp)
 
 
-def _ce_rows(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row cross entropy at temperature 1: values (B,), grads (B, C)."""
-    logp = log_softmax_rows(logits, 1.0)
-    rows = np.arange(logits.shape[0])
-    values = -logp[rows, labels]
+def _ce_rows(logp: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row cross entropy from temperature-1 log-softmaxes (..., B, C):
+    values (..., B), grads (..., B, C)."""
+    rows = np.arange(logp.shape[-2])
+    values = -logp[..., rows, labels]
     grads = np.exp(logp)
-    grads[rows, labels] -= 1.0
+    grads[..., rows, labels] -= 1.0
     return values, grads
 
 
@@ -83,7 +88,7 @@ def _kd_rows(log_own: np.ndarray, log_peer: np.ndarray, p_own: np.ndarray,
     """Per-row tau^2-scaled KL(peer || own) from the tempered log-softmaxes
     of both sides and their exps; peer is a constant reference."""
     contrib = np.where(p_peer > 0.0, p_peer * (log_peer - log_own), 0.0)
-    values = tau * tau * contrib.sum(axis=1)
+    values = tau * tau * contrib.sum(axis=-1)
     grads = tau * (p_own - p_peer)
     return values, grads
 
@@ -94,45 +99,31 @@ def _nkd_rows(log_own: np.ndarray, p_own: np.ndarray, p_peer: np.ndarray,
     tau^2-scaled cross entropy between the renormalized non-target masses
     of peer and own distributions, given their tempered softmaxes and the
     own log-softmax."""
-    b, c = log_own.shape
-    rows = np.arange(b)
+    rows = np.arange(log_own.shape[-2])
+    pt_target = p_peer[..., rows, labels]
+    ps_target = p_own[..., rows, labels]
+    term1 = -pt_target * log_own[..., rows, labels]
 
-    pt_target = p_peer[rows, labels]
-    log_ps_target = log_own[rows, labels]
-    term1 = -pt_target * log_ps_target
+    m_peer = np.maximum(1.0 - pt_target, PROB_FLOOR)[..., None]
+    m_own = np.maximum(1.0 - ps_target, PROB_FLOOR)[..., None]
+    onehot = np.zeros(log_own.shape)
+    onehot[..., rows, labels] = 1.0
+    non_target = onehot == 0.0
 
-    m_peer = np.maximum(1.0 - pt_target, PROB_FLOOR)
-    m_own = np.maximum(1.0 - p_own[rows, labels], PROB_FLOOR)
-    non_target = np.ones((b, c), dtype=bool)
-    non_target[rows, labels] = False
-
-    n_peer = np.where(non_target, p_peer / m_peer[:, None], 0.0)
-    n_own = np.where(non_target, p_own / m_own[:, None], 0.0)
+    n_peer = np.where(non_target, p_peer / m_peer, 0.0)
+    n_own = np.where(non_target, p_own / m_own, 0.0)
     log_n_own = np.log(np.maximum(n_own, PROB_FLOOR))
-    term2 = -(np.where(non_target, n_peer * log_n_own, 0.0)).sum(axis=1)
+    term2 = -(np.where(non_target, n_peer * log_n_own, 0.0)).sum(axis=-1)
 
     values = (1.0 - gamma) * term1 + gamma * tau * tau * term2
 
     # d(term1)/dz_j = -pt_target * (delta_{target,j} - p_own_j) / tau
-    onehot = np.zeros((b, c))
-    onehot[rows, labels] = 1.0
-    g1 = -(pt_target[:, None]) * (onehot - p_own) / tau
+    g1 = -(pt_target[..., None]) * (onehot - p_own) / tau
     # d(term2 * tau^2)/dz_j = -tau * (n_peer_j - p_own_j
     #                                 + (p_own_target / m_own)(delta - p_own_j))
-    ratio = (p_own[rows, labels] / m_own)[:, None]
-    g2 = -tau * (n_peer - p_own + ratio * (onehot - p_own))
+    g2 = -tau * (n_peer - p_own + ps_target[..., None] / m_own * (onehot - p_own))
     grads = (1.0 - gamma) * g1 + gamma * g2
     return values, grads
-
-
-def cross_entropy(logits, label) -> tuple[float, np.ndarray]:
-    """Cross entropy of a single logit vector against an integer label."""
-    z = _as_logit_rows(logits, "logits")
-    if z.shape[0] != 1:
-        raise ValueError("cross_entropy takes a single logit vector")
-    y = _check_labels(label, z.shape[1])
-    values, grads = _ce_rows(z, y)
-    return float(values[0]), grads[0]
 
 
 def ce_batch(logits, labels) -> tuple[float, np.ndarray]:
@@ -141,8 +132,28 @@ def ce_batch(logits, labels) -> tuple[float, np.ndarray]:
     y = _check_labels(labels, z.shape[1])
     if y.shape[0] != z.shape[0]:
         raise ValueError(f"expected {z.shape[0]} labels, got {y.shape[0]}")
-    values, grads = _ce_rows(z, y)
+    values, grads = _ce_rows(log_softmax_rows(z, 1.0), y)
     return float(values.mean()), grads / z.shape[0]
+
+
+def cross_entropy(logits, label) -> tuple[float, np.ndarray]:
+    """Cross entropy of a single logit vector against an integer label."""
+    z = _as_logit_rows(logits, "logits")
+    if z.shape[0] != 1:
+        raise ValueError("cross_entropy takes a single logit vector")
+    value, grads = ce_batch(z, label)
+    return value, grads[0]
+
+
+def _vector_pair(own_logits, peer_logits, tau: float, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Tempered log-softmaxes of an own and a peer logit vector, stacked
+    (2, 1, C) own first, and their exps."""
+    own = _as_logit_rows(own_logits, "own_logits")
+    peer = _as_logit_rows(peer_logits, "peer_logits")
+    if own.shape != peer.shape or own.shape[0] != 1:
+        raise ValueError(f"{name} takes two logit vectors of equal length")
+    log = log_softmax_rows(np.concatenate((own, peer)), tau)[:, None]
+    return log, np.exp(log)
 
 
 def kd_loss(own_logits, peer_logits, tau: float, direction: str) -> tuple[float, np.ndarray]:
@@ -155,12 +166,8 @@ def kd_loss(own_logits, peer_logits, tau: float, direction: str) -> tuple[float,
     """
     if direction not in (TOWARD_TEACHER, TOWARD_STUDENT):
         raise ValueError(f"unknown distillation direction {direction!r}")
-    own = _as_logit_rows(own_logits, "own_logits")
-    peer = _as_logit_rows(peer_logits, "peer_logits")
-    if own.shape != peer.shape or own.shape[0] != 1:
-        raise ValueError("kd_loss takes two logit vectors of equal length")
-    log_own, log_peer = log_softmax_rows(own, tau), log_softmax_rows(peer, tau)
-    values, grads = _kd_rows(log_own, log_peer, np.exp(log_own), np.exp(log_peer), tau)
+    log, p = _vector_pair(own_logits, peer_logits, tau, "kd_loss")
+    values, grads = _kd_rows(log[0], log[1], p[0], p[1], tau)
     return float(values[0]), grads[0]
 
 
@@ -171,16 +178,11 @@ def nkd_loss(own_logits, peer_logits, target, tau: float, gamma: float) -> tuple
     weight gamma.  Gradient is with respect to ``own_logits``."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    own = _as_logit_rows(own_logits, "own_logits")
-    peer = _as_logit_rows(peer_logits, "peer_logits")
-    if own.shape != peer.shape or own.shape[0] != 1:
-        raise ValueError("nkd_loss takes two logit vectors of equal length")
-    if own.shape[1] < 2:
+    log, p = _vector_pair(own_logits, peer_logits, tau, "nkd_loss")
+    if log.shape[-1] < 2:
         raise ValueError("nkd_loss needs at least two classes")
-    y = _check_labels(target, own.shape[1])
-    log_own = log_softmax_rows(own, tau)
-    values, grads = _nkd_rows(log_own, np.exp(log_own),
-                              np.exp(log_softmax_rows(peer, tau)), y, tau, gamma)
+    y = _check_labels(target, log.shape[-1])
+    values, grads = _nkd_rows(log[0], p[0], p[1], y, tau, gamma)
     return float(values[0]), grads[0]
 
 
@@ -232,23 +234,6 @@ def ctl_loss(teacher_feats, student_feats, tau: float) -> tuple[float, np.ndarra
 SideLoss = tuple[float, np.ndarray, np.ndarray]
 
 
-def _logit_terms(log_own: np.ndarray, log_peer: np.ndarray, p_own: np.ndarray,
-                 p_peer: np.ndarray, own: np.ndarray, labels: np.ndarray,
-                 cfg: LossConfig) -> tuple[float, np.ndarray]:
-    """Mean CE + KD (+ NKD) of one side, with its gradient over ``own``;
-    ``p_*`` are the exps of the tempered log-softmaxes ``log_*``."""
-    b = own.shape[0]
-    ce_vals, ce_grads = _ce_rows(own, labels)
-    kd_vals, kd_grads = _kd_rows(log_own, log_peer, p_own, p_peer, cfg.tau)
-    value = ce_vals.mean() + cfg.kd_weight * kd_vals.mean()
-    grad_logits = (ce_grads + cfg.kd_weight * kd_grads) / b
-    if cfg.enable_nkd:
-        nkd_vals, nkd_grads = _nkd_rows(log_own, p_own, p_peer, labels, cfg.tau, cfg.gamma)
-        value += cfg.nkd_weight * nkd_vals.mean()
-        grad_logits += cfg.nkd_weight * nkd_grads / b
-    return value, grad_logits
-
-
 def combined_loss(teacher_logits, student_logits, teacher_feats, student_feats,
                   labels, cfg: LossConfig) -> tuple[SideLoss, SideLoss]:
     """Batch objectives of both sides of the mutual-distillation pair.
@@ -275,21 +260,27 @@ def combined_loss(teacher_logits, student_logits, teacher_feats, student_feats,
     if cfg.enable_nkd and c < 2:
         raise ValueError("nkd term needs at least two classes")
 
-    log_t = log_softmax_rows(zt, cfg.tau)
-    log_s = log_softmax_rows(zs, cfg.tau)
-    p_t, p_s = np.exp(log_t), np.exp(log_s)
-    value_t, grad_logits_t = _logit_terms(log_t, log_s, p_t, p_s, zt, y, cfg)
-    value_s, grad_logits_s = _logit_terms(log_s, log_t, p_s, p_t, zs, y, cfg)
+    # (2, B, C), teacher first; each side's peer is the reversed stack
+    z = np.concatenate((zt, zs))
+    log_tau = log_softmax_rows(z, cfg.tau).reshape(2, b, c)
+    p = np.exp(log_tau)
+    ce_vals, grads = _ce_rows(log_softmax_rows(z, 1.0).reshape(2, b, c), y)
+    kd_vals, kd_grads = _kd_rows(log_tau, log_tau[::-1], p, p[::-1], cfg.tau)
+    # a C-contiguous copy keeps each side's sum in the order of a 1-D mean
+    values = (np.ascontiguousarray(ce_vals).sum(axis=-1) / b
+              + cfg.kd_weight * (kd_vals.sum(axis=-1) / b))
+    grads = (grads + cfg.kd_weight * kd_grads) / b
+    if cfg.enable_nkd:
+        nkd_vals, nkd_grads = _nkd_rows(log_tau, p, p[::-1], y, cfg.tau, cfg.gamma)
+        values += cfg.nkd_weight * (nkd_vals.sum(axis=-1) / b)
+        grads += cfg.nkd_weight * nkd_grads / b
 
-    grad_feats_t, grad_feats_s = np.zeros_like(ft), np.zeros_like(fs)
     # a single-row batch has no in-batch negatives; the contrastive term
     # drops out rather than erroring on the last short minibatch
     if cfg.enable_ctl and b >= 2:
         ctl_value, g_anchor, g_cand = ctl_loss(ft, fs, cfg.tau)
-        value_t += cfg.ctl_weight * ctl_value
-        value_s += cfg.ctl_weight * ctl_value
-        grad_feats_t = cfg.ctl_weight * g_anchor
-        grad_feats_s = cfg.ctl_weight * g_cand
-
-    return ((float(value_t), grad_logits_t, grad_feats_t),
-            (float(value_s), grad_logits_s, grad_feats_s))
+        values += cfg.ctl_weight * ctl_value
+        grad_feats = (cfg.ctl_weight * g_anchor, cfg.ctl_weight * g_cand)
+    else:
+        grad_feats = (np.zeros_like(ft), np.zeros_like(fs))
+    return tuple((float(v), g, gf) for v, g, gf in zip(values, grads, grad_feats))

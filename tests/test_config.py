@@ -82,6 +82,34 @@ def test_type_rules_bool_is_not_int_but_int_widens_to_float():
         config_from_dict({**copy.deepcopy(MINIMAL), "tau": "hot"})
 
 
+FLOAT_KEYS = ("join_ratio", "lr_teacher", "lr_student", "tau", "gamma", "kd_weight",
+              "nkd_weight", "ctl_weight", "eps_start", "eps_end", "fedprox_mu",
+              "dataset.separation", "partition.alpha", "partition.train_fraction")
+
+
+@pytest.mark.parametrize("path", FLOAT_KEYS)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "1e400-int"])
+def test_non_finite_and_oversized_floats_are_config_errors(path, value):
+    raw = fast_raw()
+    section, _, key = path.rpartition(".")
+    (raw[section] if section else raw)[key] = value
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert err.value.problems == [f"{path}: must be a finite number"]
+
+
+def test_cli_rejects_non_finite_floats_before_running(tmp_path, capsys):
+    for text in ("lr_student: .nan", "tau: 1" + "0" * 400):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"{text}\ndataset:\n  kind: synthetic\n")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 2, captured.err
+        assert "must be a finite number" in captured.err
+    assert not (tmp_path / "o").exists()
+
+
 def test_every_problem_is_collected_into_one_report():
     with pytest.raises(ConfigError) as err:
         config_from_dict({"dataset": {"kind": "synthetic", "num_classes": 1},
@@ -231,6 +259,27 @@ def test_round_failures_carry_the_round_number(tmp_path, monkeypatch):
     # the first round's row was already streamed out
     with open(tmp_path / "x" / "metrics.csv") as fh:
         assert len(list(csv.reader(fh))) == 2
+
+
+def test_a_client_that_raises_is_named(tmp_path, monkeypatch, capsys):
+    import fedkdx.experiment as ex
+
+    real = ex.fed.client_local_step_fedkdx
+
+    def explode(state, *a, **kw):
+        if state.client_id == 2:
+            raise ValueError("boom")
+        return real(state, *a, **kw)
+
+    monkeypatch.setattr(ex.fed, "client_local_step_fedkdx", explode)
+    raw = fast_raw(rounds=3, join_ratio=1.0)
+    for threads in (1, 2):
+        with pytest.raises(RuntimeError, match=r"^round 1 of 3: client 2: boom$"):
+            run_experiment(config_from_dict(raw), str(tmp_path / f"t{threads}"), threads)
+    code = main(["run", "--config", write_yaml(tmp_path, raw), "--out",
+                 str(tmp_path / "cli"), "--threads", "2"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: RuntimeError: round 1 of 3: client 2: boom\n"
 
 
 def test_version_string_names_the_package():

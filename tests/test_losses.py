@@ -224,6 +224,13 @@ def default_cfg(**kw):
     return LossConfig(**base)
 
 
+@pytest.mark.parametrize("name", ["kd_weight", "nkd_weight", "ctl_weight"])
+def test_loss_config_rejects_negative_and_nan_weights(name):
+    for w in (-0.5, float("nan")):
+        with pytest.raises(ValueError, match=name):
+            default_cfg(**{name: w})
+
+
 def random_batch(rng, b=4, c=3, h=5):
     return (rng.normal(size=(b, c)), rng.normal(size=(b, c)),
             rng.normal(size=(b, h)) + 2.0, rng.normal(size=(b, h)) + 2.0,
@@ -267,6 +274,30 @@ def test_combined_role_selects_the_contrastive_side():
     _, g_anchor, g_cand = ctl_loss(ft, fs, default_cfg().tau)
     assert np.abs(gf_teacher - g_anchor).max() < 1e-15
     assert np.abs(gf_student - g_cand).max() < 1e-15
+
+
+@pytest.mark.parametrize("nkd", [True, False])
+def test_combined_is_swap_symmetric(nkd):
+    # each side's peer is the other side; swapping the arguments swaps the
+    # sides bit for bit, except that the contrastive anchor and candidate
+    # roles do not swap
+    rng = np.random.default_rng(12)
+    for b in (1, 5, 33):
+        zt, zs, ft, fs, y = random_batch(rng, b=b, c=4, h=6)
+        cfg = default_cfg(enable_nkd=nkd, enable_ctl=False, kd_weight=0.7,
+                          nkd_weight=1.3, tau=1.7, gamma=0.4)
+        teacher, student = combined_loss(zt, zs, ft, fs, y, cfg)
+        swapped = combined_loss(zs, zt, fs, ft, y, cfg)
+        for want, got in ((teacher, swapped[1]), (student, swapped[0])):
+            assert want[0] == got[0]
+            assert np.array_equal(want[1], got[1])
+            assert np.array_equal(want[2], got[2])
+
+        cfg = default_cfg(enable_nkd=nkd, ctl_weight=0.4)
+        (v_t, gl_t, _), (v_s, gl_s, _) = combined_loss(zt, zs, ft, fs, y, cfg)
+        (w_t, hl_t, _), (w_s, hl_s, _) = combined_loss(zs, zt, ft, fs, y, cfg)
+        assert (v_t, v_s) == (w_s, w_t)
+        assert np.array_equal(gl_t, hl_s) and np.array_equal(gl_s, hl_t)
 
 
 def test_combined_flags_drop_terms():
