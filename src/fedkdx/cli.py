@@ -16,7 +16,7 @@ import dataclasses
 import os
 import sys
 
-from .config import (COMPONENT_LABELS, ConfigError, DEFAULT_JOIN_SWEEP, RunConfig,
+from .config import (COMPONENT_FLAGS, ConfigError, DEFAULT_JOIN_SWEEP, RunConfig,
                      SweepConfig, load_config)
 from .experiment import run_experiment, write_partition_table
 
@@ -83,10 +83,7 @@ def _sweep_points(cfg: RunConfig, sweep: SweepConfig) -> list[tuple[str, RunConf
             points.append((f"join_{ratio:g}",
                            dataclasses.replace(base, join_ratio=float(ratio))))
     else:
-        flags = {"base": (False, False), "base+nkd": (True, False),
-                 "base+ct+nkd": (True, True)}
-        for label in COMPONENT_LABELS:
-            nkd, ctl = flags[label]
+        for label, (nkd, ctl) in COMPONENT_FLAGS.items():
             points.append((label.replace("+", "_"),
                            dataclasses.replace(base, strategy="FEDKDX",
                                                enable_nkd=nkd, enable_ctl=ctl)))

@@ -11,7 +11,8 @@ The byte format is fixed and bit-exact: magic ``FKDG0001``, u32 entry
 count, then per entry a u16-length-prefixed UTF-8 name, u8 mode, u8
 precision, u32 dim count (at most 64) + u32 dims (original tensor shape),
 and the payload in little-endian row-major order (low-rank payloads carry
-u32 R, then U, sigma, V).
+u32 R, then U, sigma, V).  Decoding rejects a non-finite value, so a
+poisoned uplink fails before the server applies anything.
 """
 
 from __future__ import annotations
@@ -202,20 +203,9 @@ def decompress(pkt: GradientPacket, template: ModelParams) -> ModelParams:
 
 # ------------------------------------------------------------------ codec
 
-def _entry_payload_bytes(entry: PacketEntry) -> int:
-    item = _WIRE_DTYPE[entry.precision].itemsize
-    if entry.mode == MODE_RAW:
-        return entry.raw.size * item
-    return 4 + (entry.u.size + entry.sigma.size + entry.vt.size) * item
-
-
 def packet_size_bytes(pkt: GradientPacket) -> int:
-    """Exact length of encode_packet(pkt) without materializing it."""
-    n = len(PACKET_MAGIC) + 4
-    for e in pkt.entries:
-        n += 2 + len(e.name.encode("utf-8")) + 1 + 1 + 4 + 4 * len(e.shape)
-        n += _entry_payload_bytes(e)
-    return n
+    """Length of the packet on the wire."""
+    return len(encode_packet(pkt))
 
 
 def encode_packet(pkt: GradientPacket) -> bytes:
@@ -274,4 +264,7 @@ def decode_packet(buf: bytes) -> GradientPacket:
         entries.append(PacketEntry(name, shape, mode, precision,
                                    rank=rank, u=u, sigma=sigma, vt=vt))
     r.finish("entry")
+    for e in entries:
+        if not all(np.isfinite(a).all() for a in (e.raw, e.u, e.sigma, e.vt) if a is not None):
+            raise CodecError(f"layer {e.name!r} has non-finite values")
     return GradientPacket(entries)

@@ -8,9 +8,11 @@ reported with its dotted path, all at once.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
 
 import yaml
 
@@ -23,7 +25,9 @@ DATASET_KINDS = ("synthetic", "ucihar")
 SWEEP_AXES = ("join_ratio", "components")
 
 DEFAULT_JOIN_SWEEP = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
-COMPONENT_LABELS = ("base", "base+nkd", "base+ct+nkd")
+# the rows of the components sweep: label -> (enable_nkd, enable_ctl)
+COMPONENT_FLAGS = {"base": (False, False), "base+nkd": (True, False),
+                   "base+ct+nkd": (True, True)}
 
 
 class ConfigError(ValueError):
@@ -45,14 +49,6 @@ class DatasetConfig:
 
 
 @dataclass(frozen=True)
-class PartitionConfig:
-    mode: str = data.MODE_DIRICHLET
-    num_clients: int = 30
-    alpha: float = 0.1
-    train_fraction: float = 0.8
-
-
-@dataclass(frozen=True)
 class SweepConfig:
     axis: str
     values: tuple = ()
@@ -61,7 +57,7 @@ class SweepConfig:
 @dataclass(frozen=True)
 class RunConfig:
     dataset: DatasetConfig
-    partition: PartitionConfig = PartitionConfig()
+    partition: data.PartitionSpec = data.PartitionSpec()
     strategy: str = "FEDKDX"
     seed: int = 0
     rounds: int = 500
@@ -85,73 +81,53 @@ class RunConfig:
     deterministic_timing: bool = False
     sweep: SweepConfig | None = None
 
+    def _build(self, cls):
+        """An instance of ``cls`` from the settings its fields name."""
+        return cls(**{f.name: getattr(self, f.name) for f in dataclasses.fields(cls)})
+
     def loss_config(self) -> LossConfig:
-        return LossConfig(tau=self.tau, gamma=self.gamma,
-                          enable_nkd=self.enable_nkd, enable_ctl=self.enable_ctl,
-                          kd_weight=self.kd_weight, nkd_weight=self.nkd_weight,
-                          ctl_weight=self.ctl_weight)
+        return self._build(LossConfig)
 
     def policy(self) -> CompressionPolicy:
-        return CompressionPolicy(eps_start=self.eps_start, eps_end=self.eps_end,
-                                 wire_precision=self.wire_precision)
-
-    def partition_spec(self) -> data.PartitionSpec:
-        p = self.partition
-        return data.PartitionSpec(mode=p.mode, num_clients=p.num_clients,
-                                  alpha=p.alpha, train_fraction=p.train_fraction)
+        return self._build(CompressionPolicy)
 
     def to_dict(self) -> dict:
         """Fully resolved echo; feeding it back reproduces this config."""
-        d = {
-            "strategy": self.strategy, "seed": self.seed, "rounds": self.rounds,
-            "join_ratio": self.join_ratio, "lr_teacher": self.lr_teacher,
-            "lr_student": self.lr_student, "batch_size": self.batch_size,
-            "local_epochs": self.local_epochs, "tau": self.tau, "gamma": self.gamma,
-            "kd_weight": self.kd_weight, "nkd_weight": self.nkd_weight,
-            "ctl_weight": self.ctl_weight, "eps_start": self.eps_start,
-            "eps_end": self.eps_end, "enable_nkd": self.enable_nkd,
-            "enable_ctl": self.enable_ctl, "compress": self.compress,
-            "wire_precision": self.wire_precision, "fedprox_mu": self.fedprox_mu,
-            "deterministic_timing": self.deterministic_timing,
-            "partition": {"mode": self.partition.mode,
-                          "num_clients": self.partition.num_clients,
-                          "alpha": self.partition.alpha,
-                          "train_fraction": self.partition.train_fraction},
-        }
-        ds: dict = {"kind": self.dataset.kind}
+        d = dataclasses.asdict(self)
         if self.dataset.kind == "synthetic":
-            ds.update(num_classes=self.dataset.num_classes, dims=self.dataset.dims,
-                      samples_per_class=self.dataset.samples_per_class,
-                      separation=self.dataset.separation)
+            del d["dataset"]["root"]
         else:
-            ds["root"] = self.dataset.root
-        d["dataset"] = ds
-        if self.sweep is not None:
-            d["sweep"] = {"axis": self.sweep.axis}
-            if self.sweep.axis == "join_ratio":
-                # the components axis has fixed rows, so echoing its values
-                # back would be rejected on re-parse
-                d["sweep"]["values"] = list(self.sweep.values)
+            d["dataset"] = {"kind": self.dataset.kind, "root": self.dataset.root}
+        if self.sweep is None:
+            del d["sweep"]
+        elif self.sweep.axis == "join_ratio":
+            d["sweep"]["values"] = list(self.sweep.values)
+        else:
+            # the components axis has fixed rows, so echoing its values
+            # back would be rejected on re-parse
+            del d["sweep"]["values"]
         return d
 
 
 # ----------------------------------------------------------------- parsing
 
-_SCHEMA = {
-    "strategy": str, "seed": int, "rounds": int, "join_ratio": float,
-    "lr_teacher": float, "lr_student": float, "batch_size": int,
-    "local_epochs": int, "tau": float, "gamma": float, "kd_weight": float,
-    "nkd_weight": float, "ctl_weight": float, "eps_start": float,
-    "eps_end": float, "enable_nkd": bool, "enable_ctl": bool, "compress": bool,
-    "wire_precision": str, "fedprox_mu": float, "deterministic_timing": bool,
-    "dataset": dict, "partition": dict, "sweep": dict,
-}
+def _schema(cls) -> dict[str, type]:
+    """The YAML type each field of a config dataclass accepts: ``X | None``
+    reads as X, a tuple as a list and a nested dataclass as a mapping."""
+    schema = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        hint = next((a for a in typing.get_args(hint) if a is not type(None)), hint)
+        if hint is tuple:
+            hint = list
+        elif dataclasses.is_dataclass(hint):
+            hint = dict
+        schema[name] = hint
+    return schema
 
-_DATASET_KEYS = {"kind": str, "num_classes": int, "dims": int,
-                 "samples_per_class": int, "separation": float, "root": str}
-_PARTITION_KEYS = {"mode": str, "num_clients": int, "alpha": float,
-                   "train_fraction": float}
-_SWEEP_KEYS = {"axis": str, "values": list}
+
+# built once: resolving the type hints on every load would slow each run's setup
+_SCHEMAS = {cls: _schema(cls)
+            for cls in (RunConfig, DatasetConfig, data.PartitionSpec, SweepConfig)}
 
 
 def _coerce(value, want, path, problems):
@@ -169,7 +145,8 @@ def _coerce(value, want, path, problems):
     return value
 
 
-def _take_section(raw: dict, schema: dict, section: str, problems: list[str]) -> dict:
+def _take_section(raw: dict, cls: type, section: str, problems: list[str]) -> dict:
+    schema = _SCHEMAS[cls]
     out = {}
     for key, value in raw.items():
         path = f"{section}.{key}" if section else key
@@ -186,12 +163,12 @@ def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError([f"top level must be a mapping, got {type(raw).__name__}"])
     problems: list[str] = []
-    top = _take_section(raw, _SCHEMA, "", problems)
+    top = _take_section(raw, RunConfig, "", problems)
 
     if "dataset" not in raw:
         problems.append("dataset: required section missing")
     ds_raw = top.pop("dataset", {})
-    ds = _take_section(ds_raw, _DATASET_KEYS, "dataset", problems)
+    ds = _take_section(ds_raw, DatasetConfig, "dataset", problems)
     kind = ds.get("kind")
     if "kind" in ds and kind not in DATASET_KINDS:
         problems.append(f"dataset.kind: must be one of {DATASET_KINDS}, got {kind!r}")
@@ -200,11 +177,16 @@ def config_from_dict(raw: dict) -> RunConfig:
     if kind == "ucihar" and not ds.get("root"):
         problems.append("dataset.root: required for ucihar")
 
-    part = _take_section(top.pop("partition", {}), _PARTITION_KEYS, "partition", problems)
+    part = _take_section(top.pop("partition", {}), data.PartitionSpec, "partition", problems)
+    try:
+        spec = data.PartitionSpec(**part)
+    except ValueError as e:
+        problems.append(str(e))
+        spec = data.PartitionSpec()
 
     sweep_cfg = None
     if "sweep" in raw:
-        sw = _take_section(top.pop("sweep", {}), _SWEEP_KEYS, "sweep", problems)
+        sw = _take_section(top.pop("sweep", {}), SweepConfig, "sweep", problems)
         axis = sw.get("axis")
         if axis not in SWEEP_AXES:
             problems.append(f"sweep.axis: must be one of {SWEEP_AXES}, got {axis!r}")
@@ -222,20 +204,19 @@ def config_from_dict(raw: dict) -> RunConfig:
                 if values:
                     problems.append("sweep.values: the components axis has fixed rows; "
                                     "leave values unset")
-                values = list(COMPONENT_LABELS)
+                values = list(COMPONENT_FLAGS)
             if not problems or all("sweep" not in p for p in problems):
                 sweep_cfg = SweepConfig(axis=axis, values=tuple(values))
 
     cfg = None
     try:
-        cfg = RunConfig(dataset=DatasetConfig(**ds), partition=PartitionConfig(**part),
-                        sweep=sweep_cfg, **top)
+        cfg = RunConfig(dataset=DatasetConfig(**ds), partition=spec, sweep=sweep_cfg, **top)
     except (TypeError, ValueError) as e:
         problems.append(str(e))
     if cfg is not None:
         problems.extend(_range_problems(cfg))
         # constructor-level validation of the derived objects
-        for build in (cfg.loss_config, cfg.policy, cfg.partition_spec):
+        for build in (cfg.loss_config, cfg.policy):
             try:
                 build()
             except ValueError as e:

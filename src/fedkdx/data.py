@@ -44,9 +44,9 @@ class ClientShard:
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    mode: str
-    num_clients: int
-    alpha: float | None = None
+    mode: str = MODE_DIRICHLET
+    num_clients: int = 30
+    alpha: float | None = 0.1
     train_fraction: float = 0.8
 
     def __post_init__(self):

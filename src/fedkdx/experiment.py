@@ -45,7 +45,7 @@ def _derive_shards(cfg: RunConfig
                    ) -> tuple[list[data.Sample], list[data.ClientShard], int]:
     """The run's samples, its client shards and its class count."""
     samples = _load_samples(cfg)
-    shards = data.partition(samples, cfg.partition_spec(),
+    shards = data.partition(samples, cfg.partition,
                             fed.derive_rng(cfg.seed, fed.STREAM_PARTITION))
     return samples, shards, max(s.label for s in samples) + 1
 

@@ -237,6 +237,15 @@ def test_decode_rejects_corruption():
         decode_packet(blob[:-1])           # payload cut short
     with pytest.raises(CodecError):
         decode_packet(blob + b"\x00")      # trailing bytes
+    # non-finite values, in a raw payload and in a factor
+    with pytest.raises(CodecError, match="layer 'layer0.w' has non-finite values"):
+        decode_packet(blob[:-4] + struct.pack("<f", np.nan))
+    lr, _ = compress_gradient(grads_of([np.outer(np.arange(1.0, 31.0), np.ones(6))]),
+                              0.9, CompressionPolicy())
+    assert lr.entries[0].mode == MODE_LOWRANK
+    lr.entries[0].vt[0, 0] = np.inf
+    with pytest.raises(CodecError, match="non-finite"):
+        decode_packet(encode_packet(lr))
 
 
 def test_decode_rejects_bad_mode_and_rank():

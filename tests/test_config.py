@@ -1,9 +1,11 @@
 import copy
 import csv
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +64,52 @@ def test_echo_round_trips_exactly():
     assert config_from_dict(swept.to_dict()) == swept
     comp = config_from_dict({**fast_raw(), "sweep": {"axis": "components"}})
     assert config_from_dict(comp.to_dict()) == comp
+
+
+# every top-level default, as the echo spells it
+ECHO_TOP = {
+    "strategy": "FEDKDX", "seed": 0, "rounds": 500, "join_ratio": 0.4,
+    "lr_teacher": 0.01, "lr_student": 0.01, "batch_size": 32, "local_epochs": 1,
+    "tau": 0.8, "gamma": 0.9, "kd_weight": 1.0, "nkd_weight": 1.0, "ctl_weight": 1.0,
+    "eps_start": 0.9, "eps_end": 0.9, "enable_nkd": True, "enable_ctl": True,
+    "compress": True, "wire_precision": "f32", "fedprox_mu": 0.01,
+    "deterministic_timing": False,
+}
+ECHO_SYNTH = {"kind": "synthetic", "num_classes": 3, "dims": 6,
+              "samples_per_class": 200, "separation": 3.0}
+ECHO_PARTITION = {"mode": "dirichlet", "num_clients": 30, "alpha": 0.1,
+                  "train_fraction": 0.8}
+
+
+def test_echo_is_pinned():
+    # no root for synthetic data, no sweep key when none is set
+    assert config_from_dict(copy.deepcopy(MINIMAL)).to_dict() == {
+        **ECHO_TOP, "dataset": ECHO_SYNTH, "partition": ECHO_PARTITION}
+    har = config_from_dict({"dataset": {"kind": "ucihar", "root": "/data/har"},
+                            "partition": {"mode": "by_subject"}, "rounds": 50})
+    assert har.to_dict() == {
+        **ECHO_TOP, "rounds": 50, "dataset": {"kind": "ucihar", "root": "/data/har"},
+        "partition": {**ECHO_PARTITION, "mode": "by_subject"}}
+    swept = config_from_dict({**copy.deepcopy(MINIMAL), "tau": 2,
+                              "sweep": {"axis": "join_ratio", "values": [0.25, 0.5]}})
+    assert swept.to_dict() == {
+        **ECHO_TOP, "tau": 2.0, "dataset": ECHO_SYNTH, "partition": ECHO_PARTITION,
+        "sweep": {"axis": "join_ratio", "values": [0.25, 0.5]}}
+    comp = config_from_dict({**copy.deepcopy(MINIMAL), "sweep": {"axis": "components"}})
+    assert comp.to_dict()["sweep"] == {"axis": "components"}
+
+
+def test_readme_config_block_lists_every_key_with_its_default():
+    import yaml
+    from fedkdx.config import DatasetConfig, RunConfig
+    from fedkdx.data import PartitionSpec
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1]
+    block = yaml.safe_load(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+    assert config_from_dict(copy.deepcopy(block)) == config_from_dict(copy.deepcopy(MINIMAL))
+    assert set(block) == {f.name for f in dataclasses.fields(RunConfig)} - {"sweep"}
+    assert set(block["partition"]) == {f.name for f in dataclasses.fields(PartitionSpec)}
+    assert set(block["dataset"]) == {f.name for f in dataclasses.fields(DatasetConfig)} - {"root"}
 
 
 def test_unknown_keys_are_reported_with_their_path():
@@ -280,6 +328,33 @@ def test_a_client_that_raises_is_named(tmp_path, monkeypatch, capsys):
                  str(tmp_path / "cli"), "--threads", "2"])
     assert code == 1
     assert capsys.readouterr().err == "error: RuntimeError: round 1 of 3: client 2: boom\n"
+
+
+@pytest.mark.parametrize("strategy, compress, step", [
+    ("FEDKDX", True, "client_local_step_fedkdx"),
+    ("FEDKDX", False, "client_local_step_fedkdx"),
+    ("FEDAVG", False, "client_local_step_fedavg"),
+])
+def test_a_non_finite_uplink_is_named(tmp_path, monkeypatch, strategy, compress, step):
+    import fedkdx.experiment as ex
+
+    real = getattr(ex.fed, step)
+
+    def poison(state, *a, **kw):
+        grad = real(state, *a, **kw)
+        if state.client_id == 2:
+            grad.layers[0].values[0, 0] = np.nan
+        return grad
+
+    monkeypatch.setattr(ex.fed, step, poison)
+    raw = fast_raw(rounds=3, join_ratio=1.0, strategy=strategy, compress=compress)
+    # a compressing client fails its own SVD input check; a raw uplink is
+    # refused when the server decodes it
+    where = "" if compress else "undecodable uplink: "
+    for threads in (1, 2):
+        with pytest.raises(RuntimeError, match=rf"^round 1 of 3: client 2: {where}"
+                                               r"layer 'fc1.w' has non-finite values$"):
+            run_experiment(config_from_dict(raw), str(tmp_path / f"t{threads}"), threads)
 
 
 def test_version_string_names_the_package():

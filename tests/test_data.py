@@ -157,7 +157,7 @@ def test_partition_spec_validation():
     with pytest.raises(ValueError):
         PartitionSpec(mode="random", num_clients=2)
     with pytest.raises(ValueError):
-        PartitionSpec(mode=MODE_DIRICHLET, num_clients=2)  # alpha missing
+        PartitionSpec(mode=MODE_DIRICHLET, num_clients=2, alpha=None)
     with pytest.raises(ValueError):
         PartitionSpec(mode=MODE_IID, num_clients=0)
     with pytest.raises(ValueError):

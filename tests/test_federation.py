@@ -266,8 +266,16 @@ def test_aggregate_rejects_undecodable_uplink():
                          policy=policy, total_rounds=10, join_ratio=1.0,
                          student_lr=0.1)
     good = encode_packet(raw_packet(known_grads(student.params, 1.0), policy))
+    poisoned = known_grads(student.params, 1.0)
+    poisoned.layers[0].values[0, 0] = np.nan
+    before = copy.deepcopy(student.params)
     with pytest.raises(RoundError, match="client 4"):
         server_aggregate([(4, good[:-3])], server, eps=0.9)
+    with pytest.raises(RoundError, match="^client 4: undecodable uplink: "
+                                         "layer 'fc1.w' has non-finite values$"):
+        server_aggregate([(1, good), (4, encode_packet(raw_packet(poisoned, policy)))],
+                         server, eps=0.9)
+    assert params_equal(student.params, before)
     with pytest.raises(RoundError):
         server_aggregate([], server, eps=0.9)
 
