@@ -167,12 +167,12 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     if "dataset" not in raw:
         problems.append("dataset: required section missing")
-    ds_raw = top.pop("dataset", {})
-    ds = _take_section(ds_raw, DatasetConfig, "dataset", problems)
+    ds_raw = top.pop("dataset", None)
+    ds = _take_section(ds_raw or {}, DatasetConfig, "dataset", problems)
     kind = ds.get("kind")
     if "kind" in ds and kind not in DATASET_KINDS:
         problems.append(f"dataset.kind: must be one of {DATASET_KINDS}, got {kind!r}")
-    elif "dataset" in raw and "kind" not in ds_raw:
+    elif ds_raw is not None and "kind" not in ds_raw:
         problems.append("dataset.kind: required")
     if kind == "ucihar" and not ds.get("root"):
         problems.append("dataset.root: required for ucihar")
@@ -205,15 +205,12 @@ def config_from_dict(raw: dict) -> RunConfig:
                     problems.append("sweep.values: the components axis has fixed rows; "
                                     "leave values unset")
                 values = list(COMPONENT_FLAGS)
-            if not problems or all("sweep" not in p for p in problems):
-                sweep_cfg = SweepConfig(axis=axis, values=tuple(values))
+            sweep_cfg = SweepConfig(axis=axis, values=tuple(values))
 
     cfg = None
-    try:
+    # without a kind there is no dataset to build, and that is already reported
+    if "kind" in ds:
         cfg = RunConfig(dataset=DatasetConfig(**ds), partition=spec, sweep=sweep_cfg, **top)
-    except (TypeError, ValueError) as e:
-        problems.append(str(e))
-    if cfg is not None:
         problems.extend(_range_problems(cfg))
         # constructor-level validation of the derived objects
         for build in (cfg.loss_config, cfg.policy):

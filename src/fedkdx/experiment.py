@@ -23,7 +23,6 @@ CSV_COLUMNS = ("round", "strategy", "accuracy", "f1_macro", "recall_macro",
 
 @dataclasses.dataclass
 class Experiment:
-    config: RunConfig
     server: fed.ServerState
     clients: dict[int, fed.ClientState]
     loss_cfg: LossConfig
@@ -55,14 +54,16 @@ def build_experiment(cfg: RunConfig) -> Experiment:
     samples, shards, num_classes = _derive_shards(cfg)
 
     channels, length = samples[0].window.shape
-    if cfg.dataset.kind == "synthetic":
-        def make_model(seed):
-            return nn.build_mlp(channels * length, num_classes, seed)
-    else:
-        def make_model(seed):
-            return nn.build_cnn_har(channels, length, num_classes, seed)
 
-    student = make_model(fed.derive_seed(cfg.seed, fed.STREAM_STUDENT_INIT))
+    def make_model(*tags):
+        seed = fed.derive_seed(cfg.seed, *tags)
+        if cfg.dataset.kind == "synthetic":
+            return nn.build_mlp(channels * length, num_classes, seed)
+        return nn.build_cnn_har(channels, length, num_classes, seed)
+
+    student = make_model(fed.STREAM_STUDENT_INIT)
+    # averaging runs build no teacher; each teacher has its own stream, so no other moves
+    distilling = cfg.strategy in fed._DISTILLING
 
     clients: dict[int, fed.ClientState] = {}
     eval_x, eval_y = [], []
@@ -70,7 +71,7 @@ def build_experiment(cfg: RunConfig) -> Experiment:
         x, y = data.samples_to_xy(shard.train)
         clients[cid] = fed.ClientState(
             client_id=cid,
-            teacher=make_model(fed.derive_seed(cfg.seed, fed.STREAM_TEACHER_INIT, cid)),
+            teacher=make_model(fed.STREAM_TEACHER_INIT, cid) if distilling else None,
             student_view=student,
             x_train=x, y_train=y,
             rng=fed.derive_rng(cfg.seed, fed.STREAM_CLIENT, cid),
@@ -93,10 +94,11 @@ def build_experiment(cfg: RunConfig) -> Experiment:
         student=student, strategy=cfg.strategy, policy=cfg.policy(),
         total_rounds=cfg.rounds, join_ratio=cfg.join_ratio,
         student_lr=cfg.lr_student, compress=cfg.compress,
-        fedprox_mu=cfg.fedprox_mu, local_epochs=cfg.local_epochs,
+        fedprox_mu=cfg.fedprox_mu if cfg.strategy == fed.STRATEGY_FEDPROX else 0.0,
+        local_epochs=cfg.local_epochs,
         sampler_rng=fed.derive_rng(cfg.seed, fed.STREAM_SAMPLER))
 
-    return Experiment(config=cfg, server=server, clients=clients, loss_cfg=loss_cfg,
+    return Experiment(server=server, clients=clients, loss_cfg=loss_cfg,
                       eval_x=np.concatenate(eval_x), eval_y=np.concatenate(eval_y),
                       num_classes=num_classes)
 

@@ -9,11 +9,11 @@ round with the reconstruction of the downlink packet; the codec round-trips
 bitwise, so that is exactly what a client decoding the downlink bytes would
 apply, and one copy stands for all.
 
-Clients inside a round may execute on a thread pool.  Each owns its
-teacher and rng exclusively and only reads the shared student: evaluation
-mode forward and backward do not mutate it, and the averaging strategies
-train on a private copy.  The aggregation order is fixed by client id, so
-results are independent of thread count.
+Clients inside a round may execute on a thread pool.  Each owns its rng
+and, when distilling, its teacher exclusively, and only reads the shared
+student: evaluation mode forward and backward do not mutate it, and the
+averaging strategies train on a private copy.  The aggregation order is
+fixed by client id, so results are independent of thread count.
 """
 
 from __future__ import annotations
@@ -63,8 +63,9 @@ class RoundError(RuntimeError):
 
 @dataclass
 class ClientState:
+    """One client's private state; ``teacher`` is None for averaging strategies."""
     client_id: int
-    teacher: Model                  # private; never serialized
+    teacher: Model | None           # private; never serialized
     student_view: Model             # the shared student; read-only here
     x_train: np.ndarray
     y_train: np.ndarray
@@ -87,7 +88,7 @@ class ServerState:
     join_ratio: float
     student_lr: float
     compress: bool = True
-    fedprox_mu: float = 0.0
+    fedprox_mu: float = 0.0         # the proximal weight; 0 for all but FEDPROX
     local_epochs: int = 1
     round_index: int = 1            # next round to run, 1-based
     sampler_rng: np.random.Generator = field(default_factory=np.random.default_rng)
@@ -196,19 +197,22 @@ def client_local_step_fedavg(state: ClientState, prox_mu: float,
     return delta
 
 
+def _pack(update: ModelParams, server: ServerState, eps: float):
+    """The packet for one direction and its count of SVD fallbacks:
+    low-rank when the run compresses and distills, raw values otherwise."""
+    if server.compress and server.strategy in _DISTILLING:
+        return compress_gradient(update, eps, server.policy)
+    return raw_packet(update, server.policy), 0
+
+
 def _client_uplink(state: ClientState, server: ServerState, cfg: LossConfig,
                    eps: float) -> tuple[bytes, int]:
     """The client's encoded uplink and its count of SVD fallbacks."""
     if server.strategy in _DISTILLING:
-        grad = client_local_step_fedkdx(state, state.student_view, cfg)
-        if server.compress:
-            pkt, fallbacks = compress_gradient(grad, eps, server.policy)
-        else:
-            pkt, fallbacks = raw_packet(grad, server.policy), 0
+        update = client_local_step_fedkdx(state, state.student_view, cfg)
     else:
-        mu = server.fedprox_mu if server.strategy == STRATEGY_FEDPROX else 0.0
-        delta = client_local_step_fedavg(state, mu, server.local_epochs)
-        pkt, fallbacks = raw_packet(delta, server.policy), 0
+        update = client_local_step_fedavg(state, server.fedprox_mu, server.local_epochs)
+    pkt, fallbacks = _pack(update, server, eps)
     return encode_packet(pkt), fallbacks
 
 
@@ -237,10 +241,7 @@ def server_aggregate(blobs: list[tuple[int, bytes]], server: ServerState,
         w = 1.0 / len(blobs) if weights is None else weights[cid]
         params_iadd_scaled(acc, grad, w)
 
-    if server.strategy in _DISTILLING and server.compress:
-        down_pkt, down_fallbacks = compress_gradient(acc, eps, server.policy)
-    else:
-        down_pkt, down_fallbacks = raw_packet(acc, server.policy), 0
+    down_pkt, down_fallbacks = _pack(acc, server, eps)
     down_blob = encode_packet(down_pkt)
 
     applied = decompress(down_pkt, server.student.params)
@@ -296,7 +297,7 @@ def run_round(server: ServerState, clients: dict[int, ClientState], cfg: LossCon
     fallbacks = sum(results[cid][1] for cid in participants)
 
     weights = None
-    if server.strategy in (STRATEGY_FEDAVG, STRATEGY_FEDPROX):
+    if server.strategy not in _DISTILLING:
         total = sum(clients[cid].num_train for cid in participants)
         weights = {cid: clients[cid].num_train / total for cid in participants}
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,9 @@ from fedkdx.config import (ConfigError, DEFAULT_JOIN_SWEEP, config_from_dict,
 from fedkdx.experiment import (CSV_COLUMNS, build_experiment, run_experiment,
                                version_string, write_partition_table)
 from fedkdx.federation import run_round
-from fedkdx.nn import load_checkpoint
+from fedkdx.nn import build_cnn_har, load_checkpoint
 from helpers import SMALL_SYNTH, make_config, params_equal
+from test_data import write_fake_archive
 
 
 MINIMAL = {"dataset": {"kind": "synthetic"}}
@@ -182,6 +184,14 @@ def test_dataset_section_rules():
     # ucihar root is not touched at config time; loading checks it
     cfg = config_from_dict({"dataset": {"kind": "ucihar", "root": "/nonexistent"}})
     assert cfg.dataset.root == "/nonexistent"
+    # a bad section is reported once, in the config's own words
+    for raw, problem in [({"rounds": 3}, "dataset: required section missing"),
+                         ({"dataset": 5}, "dataset: expected dict, got int"),
+                         ({"dataset": {}}, "dataset.kind: required"),
+                         ({"dataset": {"kind": 3}}, "dataset.kind: expected str, got int")]:
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(raw)
+        assert err.value.problems == [problem]
 
 
 def test_derived_object_problems_surface_in_the_same_error():
@@ -229,12 +239,20 @@ def test_load_config_file_failures(tmp_path):
 # ----------------------------------------------------------------- building
 
 def test_build_gives_every_client_its_own_teacher():
+    for strategy in ("FEDKD", "FEDKDX"):
+        exp = build_experiment(make_config(strategy=strategy))
+        assert len(exp.clients) == 4
+        teachers = [st.teacher.params.flatten() for st in exp.clients.values()]
+        for i in range(len(teachers)):
+            for j in range(i + 1, len(teachers)):
+                assert not np.array_equal(teachers[i], teachers[j])
+    # the averaging strategies train a copy of the student and keep no teacher;
+    # only FEDPROX reads the proximal weight
+    for strategy, mu in (("FEDAVG", 0.0), ("FEDPROX", 0.25)):
+        avg = build_experiment(make_config(strategy=strategy, fedprox_mu=0.25))
+        assert all(st.teacher is None for st in avg.clients.values())
+        assert avg.server.fedprox_mu == mu
     exp = build_experiment(make_config())
-    assert len(exp.clients) == 4
-    teachers = [st.teacher.params.flatten() for st in exp.clients.values()]
-    for i in range(len(teachers)):
-        for j in range(i + 1, len(teachers)):
-            assert not np.array_equal(teachers[i], teachers[j])
     # one student, shared by the server and every client
     for st in exp.clients.values():
         assert st.student_view is exp.server.student
@@ -245,11 +263,29 @@ def test_build_gives_every_client_its_own_teacher():
 
 
 def test_build_replaces_flags_for_the_plain_distillation_baseline():
-    kd = build_experiment(make_config(strategy="FEDKD"))
+    cfg = make_config(strategy="FEDKD")
+    kd = build_experiment(cfg)
     assert kd.loss_cfg.enable_nkd is False and kd.loss_cfg.enable_ctl is False
-    assert kd.config.enable_nkd is True  # config itself is untouched
+    assert cfg.enable_nkd is True  # config itself is untouched
     kdx = build_experiment(make_config(strategy="FEDKDX"))
     assert kdx.loss_cfg.enable_nkd is True and kdx.loss_cfg.enable_ctl is True
+
+
+def test_an_averaging_cnn_build_allocates_no_teachers(tmp_path):
+    write_fake_archive(str(tmp_path), rows=(16, 8))
+    cfg = make_config(strategy="FEDAVG",
+                      dataset={"kind": "ucihar", "root": str(tmp_path)},
+                      partition={"mode": "iid_shuffle", "num_clients": 6})
+    one_cnn = build_cnn_har(9, 128, 6, seed=0).params.flatten().nbytes
+    tracemalloc.start()
+    try:
+        exp = build_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(exp.clients) == 6
+    # the student and the windows; six teachers would add six more CNNs
+    assert peak < 2 * one_cnn, (peak, one_cnn)
 
 
 def test_synthetic_runs_use_the_dense_architecture():
