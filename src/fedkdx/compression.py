@@ -1,11 +1,15 @@
 """Energy-thresholded low-rank gradient compression and its wire codec.
 
-Each gradient tensor is treated as a matrix (conv kernels flatten to
-filters x rest), factored with a LAPACK thin SVD, and truncated at the
-smallest rank whose retained squared-singular-value energy strictly exceeds
-the threshold.  A layer is only sent factored when the factor payload is
-strictly smaller than the raw matrix; everything else, including SVD
-non-convergence, falls back to a raw entry so a round never aborts.
+Each gradient tensor is treated as a matrix G (conv kernels flatten to
+filters x rest, and a wide matrix is transposed so it is tall, P x Q) and
+truncated at the smallest rank whose retained squared-singular-value energy
+strictly exceeds the threshold.  The factors come from a thin SVD of the
+small Q x Q Gram matrix G'G; the exact energy the truncation keeps is
+checked against the threshold, and a matrix that fails the check is
+factored directly with a thin SVD of G.  A layer is only sent factored when
+the factor payload is strictly smaller than the raw matrix; everything
+else, including SVD non-convergence, falls back to a raw entry so a round
+never aborts.
 
 The byte format is fixed and bit-exact: magic ``FKDG0001``, u32 entry
 count, then per entry a u16-length-prefixed UTF-8 name, u8 mode, u8
@@ -70,7 +74,8 @@ def select_rank(sigma: np.ndarray, eps: float) -> int:
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.ndim != 1 or sigma.size == 0:
         raise ValueError("sigma must be a non-empty vector")
-    if np.any(sigma < 0) or np.any(sigma[:-1] < sigma[1:]):
+    # a non-increasing vector is non-negative when its last entry is; NaN fails both
+    if not (sigma[-1] >= 0 and (sigma[:-1] >= sigma[1:]).all()):
         raise ValueError("sigma must be non-negative and non-increasing")
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
@@ -78,8 +83,9 @@ def select_rank(sigma: np.ndarray, eps: float) -> int:
     total = energy.sum()
     if total == 0.0:
         return 0
-    satisfied = np.nonzero(np.cumsum(energy) / total > eps)[0]
-    return int(satisfied[0]) + 1 if satisfied.size else sigma.size
+    # the cumulative share never decreases, so the satisfied prefixes form a suffix
+    satisfied = np.count_nonzero(energy.cumsum() / total > eps)
+    return sigma.size - satisfied + 1 if satisfied else sigma.size
 
 
 @dataclass
@@ -113,6 +119,35 @@ def _raw_entry(name: str, values: np.ndarray, precision: str) -> PacketEntry:
     return PacketEntry(name, tuple(values.shape), MODE_RAW, precision, raw=wire)
 
 
+def _truncated_factors(work: np.ndarray, eps: float):
+    """(u, sigma, v) of the rank select_rank keeps for a tall P x Q matrix
+    ``work``, with ``(u * sigma) @ v.T`` the part that is sent; all three
+    are empty along the rank axis for a zero matrix.
+
+    The factors come from the Q x Q Gram matrix: with V the right singular
+    vectors of G'G and r the rank its spectrum gives, what is sent is
+    G V_r V_r', the orthogonal projection of G onto span(V_r), so its error
+    is ||G||^2 - ||G V_r||^2 exactly.  The rank is kept only when that
+    certificate meets the threshold and no kept direction is null; any
+    other matrix, and one whose Gram trace is zero or overflows, is
+    factored directly.
+    """
+    gram = work.T @ work
+    total = gram.trace()
+    if 0.0 < total < np.inf:
+        _, lam, v = thin_svd(gram)
+        r = select_rank(np.sqrt(lam), eps)
+        v = v[:, :r]
+        gv = work @ v
+        kept = np.einsum("ij,ij->j", gv, gv)
+        if kept.sum() > eps * total and kept.all():
+            sigma = np.sqrt(kept)
+            return gv / sigma, sigma, v
+    u, sigma, v = thin_svd(work)
+    r = select_rank(sigma, eps)
+    return u[:, :r], sigma[:r], v[:, :r]
+
+
 def compress_layer(name: str, values: np.ndarray, eps: float,
                    precision: str) -> tuple[PacketEntry, bool]:
     """Build the packet entry for one tensor.
@@ -134,11 +169,11 @@ def compress_layer(name: str, values: np.ndarray, eps: float,
     p, q = work.shape
 
     try:
-        u, sigma, v = thin_svd(work)
+        u, sigma, v = _truncated_factors(work, eps)
     except SvdNonConvergence:
         return _raw_entry(name, values, precision), True
 
-    r = select_rank(sigma, eps)
+    r = sigma.size
     if r == 0 or p * r + r * r + r * q >= p * q:
         return _raw_entry(name, values, precision), False
 
@@ -147,9 +182,9 @@ def compress_layer(name: str, values: np.ndarray, eps: float,
         name, tuple(values.shape),
         MODE_LOWRANK_T if transposed else MODE_LOWRANK, precision,
         rank=r,
-        u=np.ascontiguousarray(u[:, :r], dtype=dtype),
-        sigma=np.ascontiguousarray(sigma[:r], dtype=dtype),
-        vt=np.ascontiguousarray(v[:, :r].T, dtype=dtype),
+        u=np.ascontiguousarray(u, dtype=dtype),
+        sigma=np.ascontiguousarray(sigma, dtype=dtype),
+        vt=np.ascontiguousarray(v.T, dtype=dtype),
     ), False
 
 

@@ -185,8 +185,9 @@ def config_from_dict(raw: dict) -> RunConfig:
         spec = data.PartitionSpec()
 
     sweep_cfg = None
-    if "sweep" in raw:
-        sw = _take_section(top.pop("sweep", {}), SweepConfig, "sweep", problems)
+    # a sweep that is not a mapping is already reported by its type
+    if "sweep" in top:
+        sw = _take_section(top.pop("sweep"), SweepConfig, "sweep", problems)
         axis = sw.get("axis")
         if axis not in SWEEP_AXES:
             problems.append(f"sweep.axis: must be one of {SWEEP_AXES}, got {axis!r}")
@@ -207,17 +208,17 @@ def config_from_dict(raw: dict) -> RunConfig:
                 values = list(COMPONENT_FLAGS)
             sweep_cfg = SweepConfig(axis=axis, values=tuple(values))
 
-    cfg = None
-    # without a kind there is no dataset to build, and that is already reported
-    if "kind" in ds:
-        cfg = RunConfig(dataset=DatasetConfig(**ds), partition=spec, sweep=sweep_cfg, **top)
-        problems.extend(_range_problems(cfg))
-        # constructor-level validation of the derived objects
-        for build in (cfg.loss_config, cfg.policy):
-            try:
-                build()
-            except ValueError as e:
-                problems.append(str(e))
+    # a missing kind is already reported; the placeholder names no kind, so
+    # only the checks that need none run on the dataset
+    cfg = RunConfig(dataset=DatasetConfig(**{"kind": "", **ds}), partition=spec,
+                    sweep=sweep_cfg, **top)
+    problems.extend(_range_problems(cfg))
+    # constructor-level validation of the derived objects
+    for build in (cfg.loss_config, cfg.policy):
+        try:
+            build()
+        except ValueError as e:
+            problems.append(str(e))
     if problems:
         raise ConfigError(problems)
     return cfg

@@ -1,7 +1,10 @@
 """Shared builders for the test suite."""
 
+import os
+
 import numpy as np
 
+import fedkdx
 from fedkdx.config import config_from_dict
 from fedkdx.experiment import build_experiment
 
@@ -53,3 +56,11 @@ def params_equal(a, b):
         return False
     return all(np.array_equal(la.values, lb.values)
                for la, lb in zip(a.layers, b.layers))
+
+
+def package_env(**extra) -> dict[str, str]:
+    """The environment of a child interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(fedkdx.__file__))
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))}

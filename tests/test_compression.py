@@ -1,4 +1,6 @@
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +25,10 @@ from fedkdx.compression import (
     raw_packet,
     select_rank,
 )
+from fedkdx.linalg import thin_svd
 from fedkdx.nn import LayerParam, ModelParams
+
+from helpers import package_env
 
 
 def grads_of(arrays, arch="mlp"):
@@ -78,6 +83,9 @@ def test_select_rank_validation():
         select_rank(np.array([]), 0.5)
     with pytest.raises(ValueError):
         select_rank(np.array([1.0]), 0.0)
+    for with_nan in ([np.nan], [1.0, np.nan], [np.nan, 1.0]):
+        with pytest.raises(ValueError):
+            select_rank(np.array(with_nan), 0.5)
 
 
 # ------------------------------------------------------------ layer codec
@@ -167,6 +175,97 @@ def test_svd_failure_falls_back_to_raw(monkeypatch):
     assert all(e.mode == MODE_RAW for e in pkt.entries)
     out = decompress(pkt, grads_of([np.zeros_like(g), np.zeros(3)]).zeros_like())
     assert np.array_equal(out.get("layer0.w"), g)
+
+
+# the working matrices of the HAR CNN (fc1, fc2, conv2, conv1), each tall
+GRAM_SHAPES = [(1664, 256), (256, 128), (288, 64), (81, 32)]
+
+
+def gram_probe_matrices(p, q, seed):
+    rng = np.random.default_rng(seed)
+    return {
+        "lowrank": rng.normal(size=(p, 12)) @ rng.normal(size=(12, q))
+                   + 0.05 * rng.normal(size=(p, q)),
+        "graded": rng.normal(size=(p, q)) * np.logspace(0, -8, q),
+        "normal": rng.normal(size=(p, q)),
+    }
+
+
+@pytest.mark.parametrize("p, q", GRAM_SHAPES)
+def test_gram_factors_keep_the_direct_rank_and_truncation(p, q):
+    for kind, g in gram_probe_matrices(p, q, seed=p).items():
+        u, s, v = thin_svd(g)
+        for eps in (0.5, 0.9, 0.99):
+            r = select_rank(s, eps)
+            gu, gs, gv = cp._truncated_factors(g, eps)
+            assert gs.size == r, (kind, eps)
+            direct = (u[:, :r] * s[:r]) @ v[:, :r].T
+            sent = (gu * gs) @ gv.T
+            assert np.linalg.norm(sent - direct) <= 1e-10 * np.linalg.norm(direct)
+            assert np.sum((g - sent) ** 2) <= (1.0 - eps) * np.sum(g * g)
+
+        # the wide orientation is transposed first and keeps the same rank;
+        # a full-rank normal matrix fails the size gate
+        entry, failed = compress_layer("w", g.T, 0.9, "f64")
+        assert not failed
+        assert entry.mode == (MODE_RAW if kind == "normal" else MODE_LOWRANK_T)
+        if entry.mode != MODE_RAW:
+            assert entry.rank == select_rank(s, 0.9)
+            assert entry.u.shape == (p, entry.rank)
+
+
+def test_gram_certificate_shortfall_factors_directly(monkeypatch):
+    g = gram_probe_matrices(288, 64, seed=3)["lowrank"]
+    eps = 0.9
+    factored, ranks = [], []
+
+    def recording_svd(a):
+        factored.append(a.shape)
+        return thin_svd(a)
+
+    def short_first_rank(sigma, eps):
+        r = select_rank(sigma, eps)
+        ranks.append(r)
+        # the Gram spectrum's rank one short: its kept energy misses eps
+        return r - 1 if len(ranks) == 1 else r
+
+    monkeypatch.setattr(cp, "thin_svd", recording_svd)
+    monkeypatch.setattr(cp, "select_rank", short_first_rank)
+    entry, failed = compress_layer("layer0.w", g, eps, "f64")
+    assert not failed and entry.mode == MODE_LOWRANK
+    assert factored == [(64, 64), (288, 64)]  # the Gram matrix, then G itself
+    assert entry.rank == ranks[1] == select_rank(thin_svd(g)[1], eps)
+    rec = decompress(cp.GradientPacket([entry]), grads_of([np.zeros_like(g)]))
+    tot = np.sum(g * g)
+    assert np.sum((g - rec.layers[0].values) ** 2) <= (1.0 - eps) * tot
+
+
+# prints a digest of the encoded entry of fixed-seed gradients of the HAR
+# CNN's two largest working matrices
+_COMPRESSOR_DIGESTS = """
+import hashlib
+import numpy as np
+from fedkdx.compression import GradientPacket, compress_layer, encode_packet
+for p, q in ((1664, 256), (256, 128)):
+    rng = np.random.default_rng(p)
+    g = rng.normal(size=(p, 12)) @ rng.normal(size=(12, q)) + 0.05 * rng.normal(size=(p, q))
+    for precision in ("f32", "f64"):
+        entry, _ = compress_layer("w", g, 0.9, precision)
+        blob = encode_packet(GradientPacket([entry]))
+        print(p, q, precision, entry.mode, entry.rank, hashlib.sha256(blob).hexdigest())
+"""
+
+
+def test_blas_thread_count_does_not_change_compressed_bytes():
+    outs = []
+    for blas in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", _COMPRESSOR_DIGESTS],
+                              env=package_env(OPENBLAS_NUM_THREADS=blas),
+                              check=True, timeout=300, capture_output=True, text=True)
+        outs.append(proc.stdout.splitlines())
+    assert outs[0] == outs[1]
+    assert len(outs[0]) == 4
+    assert all(line.split()[3] == str(MODE_LOWRANK) for line in outs[0])
 
 
 def test_raw_f64_is_bitwise_f32_quantizes():

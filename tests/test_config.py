@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import fedkdx
 from fedkdx.cli import main
 from fedkdx.config import (ConfigError, DEFAULT_JOIN_SWEEP, config_from_dict,
                            load_config)
@@ -19,7 +18,7 @@ from fedkdx.experiment import (CSV_COLUMNS, build_experiment, run_experiment,
                                version_string, write_partition_table)
 from fedkdx.federation import run_round
 from fedkdx.nn import build_cnn_har, load_checkpoint
-from helpers import SMALL_SYNTH, make_config, params_equal
+from helpers import SMALL_SYNTH, make_config, package_env, params_equal
 from test_data import write_fake_archive
 
 
@@ -192,6 +191,26 @@ def test_dataset_section_rules():
         with pytest.raises(ConfigError) as err:
             config_from_dict(raw)
         assert err.value.problems == [problem]
+
+
+def test_a_missing_dataset_kind_hides_no_other_problem():
+    for dataset, problem in (({}, "dataset.kind: required"),
+                             (5, "dataset: expected dict, got int")):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"dataset": dataset, "rounds": 0, "strategy": "X",
+                              "eps_start": 0.0})
+        assert err.value.problems == [
+            problem,
+            "strategy: must be one of ('FEDAVG', 'FEDPROX', 'FEDKD', 'FEDKDX'), got 'X'",
+            "rounds: must be >= 1, got 0",
+            "eps_start must lie in (0, 1], got 0.0"]
+
+
+def test_a_non_mapping_sweep_is_reported_once():
+    for sweep, kind in ((5, "int"), (None, "NoneType"), ([], "list")):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({**copy.deepcopy(MINIMAL), "sweep": sweep})
+        assert err.value.problems == [f"sweep: expected dict, got {kind}"]
 
 
 def test_derived_object_problems_surface_in_the_same_error():
@@ -451,14 +470,6 @@ def test_cli_seed_override_changes_the_run(tmp_path):
     assert read("a") != read("c")
     with open(tmp_path / "c" / "summary.json") as fh:
         assert json.load(fh)["config"]["seed"] == 9
-
-
-def package_env(**extra) -> dict[str, str]:
-    """The environment of a child interpreter that imports this package."""
-    src = os.path.dirname(os.path.dirname(fedkdx.__file__))
-    return {**os.environ, **extra,
-            "PYTHONPATH": os.pathsep.join(
-                filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def test_blas_thread_count_does_not_change_the_run(tmp_path):

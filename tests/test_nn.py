@@ -1,6 +1,5 @@
 import copy
 import json
-import os
 import struct
 import subprocess
 import sys
@@ -9,7 +8,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import fedkdx
 from fedkdx.linalg import finite_diff_grad
 from fedkdx.nn import (
     CONV_KERNEL,
@@ -27,7 +25,7 @@ from fedkdx.nn import (
     save_checkpoint,
 )
 from fedkdx.nn import _conv1d, _conv1d_backward, _maxpool2  # noqa: F401 - oracle targets
-from helpers import params_equal, rel_err
+from helpers import package_env, params_equal, rel_err
 
 
 def small_cnn(seed=0, num_classes=3):
@@ -295,14 +293,10 @@ for bsz in (1, 7, 13, 32):
 
 
 def test_blas_thread_count_does_not_change_cnn_kernels():
-    src = os.path.dirname(os.path.dirname(fedkdx.__file__))
     outs = []
     for blas in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": blas,
-               "PYTHONPATH": os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", _CNN_KERNEL_DIGESTS], env=env,
-                              check=True, timeout=300, capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", _CNN_KERNEL_DIGESTS],
+                              env=package_env(OPENBLAS_NUM_THREADS=blas), check=True, timeout=300, capture_output=True, text=True)
         outs.append(proc.stdout.splitlines())
     assert outs[0] == outs[1]
     assert len(outs[0]) == 4 * 2 * 15  # batch sizes x modes x (logits + 14 grads)
