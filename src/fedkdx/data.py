@@ -76,15 +76,18 @@ def _read_matrix(path: str) -> np.ndarray:
     if not os.path.isfile(path):
         raise DataError(f"missing dataset file: {path}")
     try:
-        return np.loadtxt(path, dtype=np.float64, ndmin=2)
+        mat = np.loadtxt(path, dtype=np.float64, ndmin=2)
     except ValueError as e:
         raise DataError(f"unreadable dataset file {path}: {e}") from e
+    if not np.isfinite(mat).all():
+        raise DataError(f"{path}: non-finite value (NaN or Inf)")
+    return mat
 
 
 def _read_ids(path: str) -> np.ndarray:
     """A label or subject file: one integer per row."""
     ids = _read_matrix(path).ravel()
-    if not (np.isfinite(ids).all() and (ids == np.round(ids)).all()):
+    if not (ids == np.round(ids)).all():
         raise DataError(f"{path}: expected one integer per row")
     return ids
 

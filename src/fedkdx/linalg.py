@@ -18,21 +18,11 @@ class SvdNonConvergence(RuntimeError):
     """Neither LAPACK driver converged on the matrix."""
 
 
-def _require_finite(a: np.ndarray, what: str) -> None:
-    if not np.isfinite(a).all():
-        raise ValueError(f"{what} must be finite (found NaN or Inf)")
-
-
 def log_softmax_rows(logits: np.ndarray, tau: float) -> np.ndarray:
-    """Row-wise log softmax at temperature tau for a (B, C) array."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] == 0:
-        raise ValueError("logits must be a non-empty (B, C) array")
-    _require_finite(z, "logits")
-    if not tau > 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    shifted = (z - z.max(axis=1, keepdims=True)) / tau
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """Log softmax at temperature tau along the last axis of a float64 array;
+    scans nothing, as callers check logits finite and tau > 0 at entry."""
+    shifted = (logits - logits.max(axis=-1, keepdims=True)) / tau
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def softmax_rows(logits: np.ndarray, tau: float) -> np.ndarray:
@@ -58,7 +48,8 @@ def thin_svd(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError(f"thin_svd requires rows >= cols, got {p}x{q}; transpose first")
     if q == 0:
         raise ValueError("matrix must have at least one column")
-    _require_finite(g, "matrix")
+    if not np.isfinite(g).all():
+        raise ValueError("matrix must be finite (found NaN or Inf)")
 
     try:
         u, sigma, vt = _lapack_svd(g, "gesdd")

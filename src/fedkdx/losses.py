@@ -9,6 +9,13 @@ The row kernels take (..., B, C) arrays.  ``combined_loss`` stacks the
 teacher and student logits into one (2, B, C) array, teacher first, so
 each kernel runs once for both sides; a side's peer is the stack reversed
 along its leading axis.  The one-sample losses call the same kernels.
+
+Values are checked where they enter.  The public losses check their
+arguments.  ``combined_loss`` and the row kernels run per minibatch on
+arrays the program built and check shapes only: the loaders check data
+values at load, labels lie in [0, C) for C = largest label + 1, and a
+non-finite value made in a round fails it at the uplink check
+(``compress_layer`` or ``decode_packet``), which names the client.
 """
 
 from __future__ import annotations
@@ -56,6 +63,8 @@ def _as_logit_rows(a, name: str) -> np.ndarray:
         z = z[None, :]
     if z.ndim != 2 or z.shape[1] < 1:
         raise ValueError(f"{name} must be a logit vector or (B, C) array")
+    if not np.isfinite(z).all():
+        raise ValueError(f"{name} must be finite (found NaN or Inf)")
     return z
 
 
@@ -138,16 +147,17 @@ def ce_batch(logits, labels) -> tuple[float, np.ndarray]:
 
 def cross_entropy(logits, label) -> tuple[float, np.ndarray]:
     """Cross entropy of a single logit vector against an integer label."""
-    z = _as_logit_rows(logits, "logits")
-    if z.shape[0] != 1:
+    if np.ndim(logits) != 1:
         raise ValueError("cross_entropy takes a single logit vector")
-    value, grads = ce_batch(z, label)
+    value, grads = ce_batch(logits, label)
     return value, grads[0]
 
 
 def _vector_pair(own_logits, peer_logits, tau: float, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Tempered log-softmaxes of an own and a peer logit vector, stacked
     (2, 1, C) own first, and their exps."""
+    if not tau > 0:
+        raise ValueError(f"temperature must be positive, got {tau}")
     own = _as_logit_rows(own_logits, "own_logits")
     peer = _as_logit_rows(peer_logits, "peer_logits")
     if own.shape != peer.shape or own.shape[0] != 1:
@@ -186,11 +196,24 @@ def nkd_loss(own_logits, peer_logits, target, tau: float, gamma: float) -> tuple
     return float(values[0]), grads[0]
 
 
-def _normalize_rows(x: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError(f"{name} contains a zero-norm feature vector")
-    return x / norms[:, None], norms
+# feature rows are divided by max(norm, floor), as InfoNCE code does
+CTL_NORM_FLOOR = 1e-12
+
+
+def _ctl_pair(f: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
+    """Contrastive value and (2, B, D) feature gradients of a stacked pair,
+    teacher anchors first.  A zero row scores zero against every row; its
+    gradient is the upstream one over the floor, the clamped map's slope."""
+    b = f.shape[1]
+    norms = np.maximum(np.linalg.norm(f, axis=-1, keepdims=True), CTL_NORM_FLOOR)
+    a = f / norms
+    logq = log_softmax_rows(a[0] @ a[1].T, tau)
+    value = float(-np.trace(logq) / b)
+
+    w = (np.exp(logq) - np.eye(b)) / (b * tau)
+    g = np.stack((w @ a[1], w.T @ a[0]))
+    # back through row normalization: project out the radial component
+    return value, (g - (g * a).sum(axis=-1, keepdims=True) * a) / norms
 
 
 def ctl_loss(teacher_feats, student_feats, tau: float) -> tuple[float, np.ndarray, np.ndarray]:
@@ -199,35 +222,23 @@ def ctl_loss(teacher_feats, student_feats, tau: float) -> tuple[float, np.ndarra
     Each teacher feature row is an anchor whose positive is the student
     feature at the same index; every student row in the batch serves as a
     candidate.  Returns the mean InfoNCE value and gradients for both
-    feature arrays.
+    feature arrays.  A zero-norm row is allowed; see ``_ctl_pair``.
     """
     if not tau > 0:
         raise ValueError(f"temperature must be positive, got {tau}")
     ft = np.asarray(teacher_feats, dtype=np.float64)
     fs = np.asarray(student_feats, dtype=np.float64)
-    if ft.ndim != 2 or fs.ndim != 2 or ft.shape != fs.shape:
+    if ft.ndim != 2 or ft.shape != fs.shape:
         raise ValueError(
             f"feature arrays must share one (B, D) shape, got {ft.shape} vs {fs.shape}"
         )
     if ft.shape[0] < 2:
         raise ValueError("contrastive loss needs a batch of at least 2")
-    if not (np.isfinite(ft).all() and np.isfinite(fs).all()):
+    f = np.stack((ft, fs))
+    if not np.isfinite(f).all():
         raise ValueError("features must be finite")
-
-    b = ft.shape[0]
-    at, nt = _normalize_rows(ft, "teacher_feats")
-    as_, ns = _normalize_rows(fs, "student_feats")
-    sim = at @ as_.T
-    logq = log_softmax_rows(sim, tau)
-    value = float(-np.trace(logq) / b)
-
-    w = (np.exp(logq) - np.eye(b)) / (b * tau)
-    g_at = w @ as_
-    g_as = w.T @ at
-    # back through row normalization: project out the radial component
-    g_ft = (g_at - (g_at * at).sum(axis=1, keepdims=True) * at) / nt[:, None]
-    g_fs = (g_as - (g_as * as_).sum(axis=1, keepdims=True) * as_) / ns[:, None]
-    return value, g_ft, g_fs
+    value, g = _ctl_pair(f, tau)
+    return value, g[0], g[1]
 
 
 # one side's (value, grad_logits, grad_feats)
@@ -244,43 +255,38 @@ def combined_loss(teacher_logits, student_logits, teacher_feats, student_feats,
     share ``ctl_loss(teacher_feats, student_feats)``: the teacher takes its
     anchor gradient, the student its candidate gradient.  Returns
     ``(value, grad_logits, grad_feats)`` for the teacher, then the student.
+    Checks shapes only; the module docstring says what checks the values.
     """
-    zt = _as_logit_rows(teacher_logits, "teacher_logits")
-    zs = _as_logit_rows(student_logits, "student_logits")
-    if zt.shape != zs.shape:
-        raise ValueError(f"logit shapes differ: {zt.shape} vs {zs.shape}")
-    ft = np.asarray(teacher_feats, dtype=np.float64)
-    fs = np.asarray(student_feats, dtype=np.float64)
-    if ft.shape != fs.shape or ft.ndim != 2 or ft.shape[0] != zt.shape[0]:
-        raise ValueError("feature arrays must be (B, H) and match the logit batch")
-    b, c = zt.shape
-    y = _check_labels(labels, c)
-    if y.shape[0] != b:
-        raise ValueError(f"expected {b} labels, got {y.shape[0]}")
+    # (2, B, C) and (2, B, H), teacher first; each side's peer is the
+    # reversed stack.  np.stack refuses sides of unequal shapes.
+    z = np.stack((teacher_logits, student_logits))
+    f = np.stack((teacher_feats, student_feats))
+    if z.ndim != 3 or f.ndim != 3 or f.shape[1] != z.shape[1] or labels.shape != z.shape[1:2]:
+        raise ValueError(f"logits {z.shape}, features {f.shape} and labels {labels.shape} "
+                         "must share one batch")
+    _, b, c = z.shape
     if cfg.enable_nkd and c < 2:
         raise ValueError("nkd term needs at least two classes")
 
-    # (2, B, C), teacher first; each side's peer is the reversed stack
-    z = np.concatenate((zt, zs))
-    log_tau = log_softmax_rows(z, cfg.tau).reshape(2, b, c)
+    log_tau = log_softmax_rows(z, cfg.tau)
     p = np.exp(log_tau)
-    ce_vals, grads = _ce_rows(log_softmax_rows(z, 1.0).reshape(2, b, c), y)
+    ce_vals, grads = _ce_rows(log_softmax_rows(z, 1.0), labels)
     kd_vals, kd_grads = _kd_rows(log_tau, log_tau[::-1], p, p[::-1], cfg.tau)
     # a C-contiguous copy keeps each side's sum in the order of a 1-D mean
     values = (np.ascontiguousarray(ce_vals).sum(axis=-1) / b
               + cfg.kd_weight * (kd_vals.sum(axis=-1) / b))
     grads = (grads + cfg.kd_weight * kd_grads) / b
     if cfg.enable_nkd:
-        nkd_vals, nkd_grads = _nkd_rows(log_tau, p, p[::-1], y, cfg.tau, cfg.gamma)
+        nkd_vals, nkd_grads = _nkd_rows(log_tau, p, p[::-1], labels, cfg.tau, cfg.gamma)
         values += cfg.nkd_weight * (nkd_vals.sum(axis=-1) / b)
         grads += cfg.nkd_weight * nkd_grads / b
 
     # a single-row batch has no in-batch negatives; the contrastive term
     # drops out rather than erroring on the last short minibatch
     if cfg.enable_ctl and b >= 2:
-        ctl_value, g_anchor, g_cand = ctl_loss(ft, fs, cfg.tau)
+        ctl_value, g_ctl = _ctl_pair(f, cfg.tau)
         values += cfg.ctl_weight * ctl_value
-        grad_feats = (cfg.ctl_weight * g_anchor, cfg.ctl_weight * g_cand)
+        grad_feats = cfg.ctl_weight * g_ctl
     else:
-        grad_feats = (np.zeros_like(ft), np.zeros_like(fs))
+        grad_feats = np.zeros_like(f)
     return tuple((float(v), g, gf) for v, g, gf in zip(values, grads, grad_feats))

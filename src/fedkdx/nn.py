@@ -268,13 +268,12 @@ def forward(model: Model, x: np.ndarray, mode: str) -> ForwardTrace:
     mode="train" normalizes with batch statistics and updates the model's
     running statistics in place; mode="eval" is a pure function of
     (params, x) that normalizes with the stored running statistics.
+    Checks the input's shape only: the loaders check its values at load.
     """
     if mode not in (MODE_TRAIN, MODE_EVAL):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     params = model.params
     x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise ValueError("input batch must be finite")
     caches: dict = {}
 
     m = params.meta

@@ -16,7 +16,7 @@ from fedkdx.config import (ConfigError, DEFAULT_JOIN_SWEEP, config_from_dict,
                            load_config)
 from fedkdx.experiment import (CSV_COLUMNS, build_experiment, run_experiment,
                                version_string, write_partition_table)
-from fedkdx.federation import run_round
+from fedkdx.federation import RoundError, run_round
 from fedkdx.nn import build_cnn_har, load_checkpoint
 from helpers import SMALL_SYNTH, make_config, package_env, params_equal
 from test_data import write_fake_archive
@@ -410,6 +410,22 @@ def test_a_non_finite_uplink_is_named(tmp_path, monkeypatch, strategy, compress,
         with pytest.raises(RuntimeError, match=rf"^round 1 of 3: client 2: {where}"
                                                r"layer 'fc1.w' has non-finite values$"):
             run_experiment(config_from_dict(raw), str(tmp_path / f"t{threads}"), threads)
+
+
+@pytest.mark.parametrize("compress", [True, False])
+def test_a_non_finite_teacher_fails_its_round_at_the_uplink(compress):
+    # the minibatch path scans no values: a NaN teacher weight poisons the
+    # student gradient, and the uplink check refuses it with the client
+    # named, before the student changes
+    where = "" if compress else "undecodable uplink: "
+    for threads in (1, 2):
+        exp = build_experiment(config_from_dict(fast_raw(join_ratio=1.0, compress=compress)))
+        exp.clients[2].teacher.params.layers[0].values[0, 0] = np.nan
+        before = copy.deepcopy(exp.server.student.params)
+        with pytest.raises(RoundError, match=rf"^client 2: {where}"
+                                             r"layer 'fc1.w' has non-finite values$"):
+            run_round(exp.server, exp.clients, exp.loss_cfg, exp.eval_x, exp.eval_y, threads)
+        assert params_equal(exp.server.student.params, before)
 
 
 def test_version_string_names_the_package():

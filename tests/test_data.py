@@ -215,12 +215,20 @@ def test_load_ucihar_rejects_malformed_trees(tmp_path):
     with pytest.raises(DataError, match="missing dataset file"):
         load_ucihar(str(b))
 
-    # disk labels count from 1, and labels and subjects are integers
+    # disk labels count from 1, labels and subjects are integers, and every
+    # sensor value is finite
+    row = " 0.5" * 127
     for label, (fname, text, match) in {
             "label0": ("y_train.txt", "1\n0\n2\n", "y_train.txt: labels count from 1"),
             "label_frac": ("y_test.txt", "1\n2.5\n", "y_test.txt: expected one integer"),
             "subject_frac": ("subject_train.txt", "1\n2\n3.5\n",
-                             "subject_train.txt: expected one integer")}.items():
+                             "subject_train.txt: expected one integer"),
+            "channel_nan": ("Inertial Signals/body_acc_y_train.txt",
+                            f"0.1{row}\nnan{row}\n0.2{row}\n",
+                            "body_acc_y_train.txt: non-finite value"),
+            "channel_inf": ("Inertial Signals/total_acc_z_test.txt",
+                            f"0.1{row}\n-inf{row}\n",
+                            "total_acc_z_test.txt: non-finite value")}.items():
         root = write_fake_archive(str(tmp_path / label))
         split = "test" if "test" in fname else "train"
         with open(os.path.join(root, split, fname), "w") as fh:

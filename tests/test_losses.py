@@ -6,6 +6,7 @@ from scipy.special import rel_entr
 
 from fedkdx.linalg import finite_diff_grad, softmax_rows
 from fedkdx.losses import (
+    CTL_NORM_FLOOR,
     PROB_FLOOR,
     TOWARD_STUDENT,
     TOWARD_TEACHER,
@@ -17,6 +18,7 @@ from fedkdx.losses import (
     kd_loss,
     nkd_loss,
 )
+from fedkdx.nn import backward, build_cnn_har, forward
 from helpers import rel_err
 
 FD_CASES = 15  # quick per-loss screening; the acceptance suite runs the deep pass
@@ -103,6 +105,10 @@ def test_kd_value_matches_scaled_kl_oracle():
 def test_kd_rejects_unknown_direction():
     with pytest.raises(ValueError):
         kd_loss([1.0, 0.0], [0.0, 1.0], 1.0, "sideways")
+    with pytest.raises(ValueError, match="peer_logits must be finite"):
+        kd_loss([1.0, 0.0], [np.inf, 1.0], 1.0, TOWARD_TEACHER)
+    with pytest.raises(ValueError, match="temperature"):
+        kd_loss([1.0, 0.0], [0.0, 1.0], 0.0, TOWARD_TEACHER)
 
 
 def test_nkd_pinned_value():
@@ -159,6 +165,8 @@ def test_nkd_rejects_bad_arguments():
         nkd_loss([1.0], [1.0], 0, 1.0, 0.5)  # one class
     with pytest.raises(ValueError):
         nkd_loss([1.0, 0.0], [1.0, 0.0], 0, 1.0, 1.5)  # gamma out of range
+    with pytest.raises(ValueError, match="own_logits must be finite"):
+        nkd_loss([np.nan, 0.0], [1.0, 0.0], 0, 1.0, 0.5)
 
 
 # ------------------------------------------------------------- contrastive
@@ -206,13 +214,57 @@ def test_ctl_rejects_degenerate_batches():
     with pytest.raises(ValueError):
         ctl_loss(np.ones((1, 4)), np.ones((1, 4)), 1.0)  # single row
     bad = np.ones((3, 4))
-    bad[1] = 0.0
-    with pytest.raises(ValueError):
-        ctl_loss(bad, np.ones((3, 4)), 1.0)  # zero-norm feature
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError, match="features must be finite"):
+        ctl_loss(np.ones((3, 4)), bad, 1.0)
     with pytest.raises(ValueError):
         ctl_loss(np.ones((3, 4)), np.ones((3, 5)), 1.0)  # shape mismatch
     with pytest.raises(ValueError):
         ctl_loss(np.ones((3, 4)), np.ones((3, 4)), 0.0)  # temperature
+
+
+def test_ctl_zero_norm_row_normalizes_to_zero():
+    # the norm is clamped at CTL_NORM_FLOOR: a zero row scores zero
+    # similarity against every row, so a zero anchor's term is log(B), and
+    # its gradient is the upstream one divided by the floor
+    rng = np.random.default_rng(13)
+    b, d, tau = 4, 5, 0.7
+    ft = rng.normal(size=(b, d))
+    fs = rng.normal(size=(b, d))
+    ft[1] = 0.0
+    v, gt, gs = ctl_loss(ft, fs, tau)
+    norms = np.linalg.norm(ft, axis=1, keepdims=True)
+    norms[1] = 1.0  # any positive divisor leaves the zero row zero
+    at = ft / norms
+    as_ = fs / np.linalg.norm(fs, axis=1, keepdims=True)
+    logq = np.log(softmax_rows(at @ as_.T, tau))
+    assert abs(logq[1, 1] + np.log(b)) < 1e-15
+    assert abs(v - (-np.trace(logq) / b)) < 1e-12
+    w = (np.exp(logq) - np.eye(b)) / (b * tau)
+    assert np.abs(gt[1] * CTL_NORM_FLOOR - (w @ as_)[1]).max() < 1e-12
+    assert np.all(np.isfinite(gt)) and np.all(np.isfinite(gs))
+    # a zero student (candidate) row is clamped the same way
+    v2, _, gs2 = ctl_loss(fs, ft, tau)
+    assert np.isfinite(v2) and np.all(np.isfinite(gs2))
+
+
+def test_a_zero_cnn_feature_row_gives_finite_parameter_gradients():
+    # an all-zero input window has an all-zero feature row in eval mode at
+    # init (zero biases); the relu at the tap masks the row's feature
+    # gradient, so every parameter gradient stays finite
+    teacher, student = build_cnn_har(2, 28, 3, seed=0), build_cnn_har(2, 28, 3, seed=1)
+    x = np.random.default_rng(14).normal(size=(4, 2, 28))
+    x[2] = 0.0
+    y = np.array([0, 1, 2, 1])
+    t_tr, s_tr = forward(teacher, x, "eval"), forward(student, x, "eval")
+    assert np.all(t_tr.features[2] == 0.0) and np.all(s_tr.features[2] == 0.0)
+    (vt, gl_t, gf_t), (vs, gl_s, gf_s) = combined_loss(
+        t_tr.logits, s_tr.logits, t_tr.features, s_tr.features, y, default_cfg())
+    assert np.isfinite(vt) and np.isfinite(vs)
+    for model, tr, gl, gf in ((teacher, t_tr, gl_t, gf_t), (student, s_tr, gl_s, gf_s)):
+        assert np.all(np.isfinite(gf))
+        grads = backward(model.params, tr, gl, gf)
+        assert all(np.isfinite(layer.values).all() for layer in grads.layers)
 
 
 # ---------------------------------------------------------------- combined
@@ -349,8 +401,6 @@ def test_combined_validates_shapes():
         combined_loss(zt, zs, ft[:2], fs[:2], y, default_cfg())
     with pytest.raises(ValueError):
         combined_loss(zt, zs, ft, fs, y[:2], default_cfg())
-    with pytest.raises(ValueError):
-        combined_loss(zt, np.where(zs > 0, np.inf, zs), ft, fs, y, default_cfg())
 
 
 @settings(max_examples=30)
