@@ -29,7 +29,8 @@ from .compression import (CompressionPolicy, compress_gradient, decode_packet,
                           decompress, dynamic_threshold, encode_packet, raw_packet)
 from .linalg import softmax_rows
 from .losses import LossConfig, ce_batch, combined_loss
-from .nn import Model, ModelParams, backward, forward, params_iadd_scaled
+from .nn import (Model, ModelParams, backward, forward, params_iadd_scaled,
+                 widest_row_bytes)
 
 STRATEGY_FEDAVG = "FEDAVG"
 STRATEGY_FEDPROX = "FEDPROX"
@@ -250,17 +251,28 @@ def server_aggregate(blobs: list[tuple[int, bytes]], server: ServerState,
     return down_blob, down_fallbacks
 
 
-EVAL_CHUNK = 512
+# bound on the largest buffer one evaluation forward builds: the HAR CNN's
+# conv2 patches take 117 KiB a window, so 32 windows a chunk stay in cache;
+# a whole MLP evaluation set fits in one chunk
+EVAL_BYTES = 4 << 20
 
 
 def evaluate(model: Model, x: np.ndarray, y: np.ndarray) -> dict[str, float]:
     """Metrics of the model's softmax scores on a labeled set.
 
-    Forwarding happens in chunks to bound the conv im2col footprint;
-    evaluation mode is a pure function of the inputs so chunking is exact.
+    Forwarding happens in chunks of at most about ``EVAL_BYTES`` of im2col
+    patches; evaluation mode is a pure function of each window.  Chunks
+    start on multiples of 8 rows, where OpenBLAS's GEMM row tiles start, and
+    a tail under 8 rows, which a GEMM takes on another path (gemv for one
+    row), joins the chunk before it.  The CNN's logits then equal those of
+    one whole-set forward bit for bit.
     """
-    logits = np.concatenate([forward(model, x[i:i + EVAL_CHUNK], "eval").logits
-                             for i in range(0, x.shape[0], EVAL_CHUNK)])
+    rows = max(8, EVAL_BYTES // widest_row_bytes(model.params) // 8 * 8)
+    bounds = list(range(0, x.shape[0], rows)) + [x.shape[0]]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] < 8:
+        del bounds[-2]
+    logits = np.concatenate([forward(model, x[a:b], "eval").logits
+                             for a, b in zip(bounds, bounds[1:])])
     batch = mt.EvalBatch(softmax_rows(logits, 1.0), y)
     return {"accuracy": mt.accuracy(batch),
             "f1_macro": mt.macro_f1(batch),

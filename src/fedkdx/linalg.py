@@ -21,7 +21,12 @@ class SvdNonConvergence(RuntimeError):
 def log_softmax_rows(logits: np.ndarray, tau: float) -> np.ndarray:
     """Log softmax at temperature tau along the last axis of a float64 array;
     scans nothing, as callers check logits finite and tau > 0 at entry."""
-    shifted = (logits - logits.max(axis=-1, keepdims=True)) / tau
+    return log_softmax_shifted((logits - logits.max(axis=-1, keepdims=True)) / tau)
+
+
+def log_softmax_shifted(shifted: np.ndarray) -> np.ndarray:
+    """Log softmax along the last axis of rows already shifted by their max
+    (and divided by a temperature), so one shift serves several temperatures."""
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 

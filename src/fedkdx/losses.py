@@ -10,9 +10,10 @@ teacher and student logits into one (2, B, C) array, teacher first, so
 each kernel runs once for both sides; a side's peer is the stack reversed
 along its leading axis.  The one-sample losses call the same kernels.
 
-Values are checked where they enter.  The public losses check their
-arguments.  ``combined_loss`` and the row kernels run per minibatch on
-arrays the program built and check shapes only: the loaders check data
+Values are checked where they enter.  The one-sample losses and
+``ctl_loss`` check their arguments.  ``combined_loss``, ``ce_batch`` and the
+row kernels run per minibatch on arrays the program built and check shapes
+only: the loaders check data
 values at load, labels lie in [0, C) for C = largest label + 1, and a
 non-finite value made in a round fails it at the uplink check
 (``compress_layer`` or ``decode_packet``), which names the client.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import log_softmax_rows
+from .linalg import log_softmax_rows, log_softmax_shifted
 
 # Probabilities are clamped here before any log on the renormalized
 # non-target masses; far below every gradient-check tolerance.
@@ -135,21 +136,23 @@ def _nkd_rows(log_own: np.ndarray, p_own: np.ndarray, p_peer: np.ndarray,
     return values, grads
 
 
-def ce_batch(logits, labels) -> tuple[float, np.ndarray]:
-    """Mean cross entropy over a batch; gradient carries the 1/B factor."""
-    z = _as_logit_rows(logits, "logits")
-    y = _check_labels(labels, z.shape[1])
-    if y.shape[0] != z.shape[0]:
-        raise ValueError(f"expected {z.shape[0]} labels, got {y.shape[0]}")
-    values, grads = _ce_rows(log_softmax_rows(z, 1.0), y)
-    return float(values.mean()), grads / z.shape[0]
+def ce_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross entropy of (B, C) float64 logits against B labels; the
+    gradient carries the 1/B factor.  The minibatch loss of the averaging
+    strategies: like ``combined_loss`` it checks shapes only."""
+    if logits.ndim != 2 or labels.shape != logits.shape[:1]:
+        raise ValueError(f"logits {logits.shape} and labels {labels.shape} "
+                         "must share one batch")
+    values, grads = _ce_rows(log_softmax_rows(logits, 1.0), labels)
+    return float(values.mean()), grads / logits.shape[0]
 
 
 def cross_entropy(logits, label) -> tuple[float, np.ndarray]:
     """Cross entropy of a single logit vector against an integer label."""
     if np.ndim(logits) != 1:
         raise ValueError("cross_entropy takes a single logit vector")
-    value, grads = ce_batch(logits, label)
+    z = _as_logit_rows(logits, "logits")
+    value, grads = ce_batch(z, _check_labels(label, z.shape[1]))
     return value, grads[0]
 
 
@@ -268,9 +271,11 @@ def combined_loss(teacher_logits, student_logits, teacher_feats, student_feats,
     if cfg.enable_nkd and c < 2:
         raise ValueError("nkd term needs at least two classes")
 
-    log_tau = log_softmax_rows(z, cfg.tau)
+    # one shift serves both temperatures: dividing it by 1.0 is exact
+    shift = z - z.max(axis=-1, keepdims=True)
+    log_tau = log_softmax_shifted(shift / cfg.tau)
     p = np.exp(log_tau)
-    ce_vals, grads = _ce_rows(log_softmax_rows(z, 1.0), labels)
+    ce_vals, grads = _ce_rows(log_softmax_shifted(shift), labels)
     kd_vals, kd_grads = _kd_rows(log_tau, log_tau[::-1], p, p[::-1], cfg.tau)
     # a C-contiguous copy keeps each side's sum in the order of a 1-D mean
     values = (np.ascontiguousarray(ce_vals).sum(axis=-1) / b

@@ -165,6 +165,19 @@ def cnn_shape_walk(in_channels: int, in_length: int) -> dict:
             "flat": CONV_FILTERS[1] * p2}
 
 
+def widest_row_bytes(params: ModelParams) -> int:
+    """Bytes per sample of the largest buffer a forward builds: the im2col
+    patches of the wider conv layer for the CNN, the widest layer for the MLP."""
+    m = params.meta
+    if params.arch == ARCH_CNN:
+        walk = cnn_shape_walk(m["in_channels"], m["in_length"])
+        width = CONV_KERNEL * max(m["in_channels"] * walk["conv1"],
+                                  CONV_FILTERS[0] * walk["conv2"])
+    else:
+        width = max(m["in_dim"], *MLP_DENSE)
+    return 8 * width
+
+
 def layout(arch: str, meta: dict) -> tuple[list, list]:
     """The ordered (name, shape) lists of an architecture's parameters and
     of its running statistics, as its meta dict sizes them.
@@ -239,27 +252,39 @@ def _conv1d(x, w, b):
 
 
 def _bn_forward(x, gamma, beta, mode, running_mean, running_var):
-    # channel statistics over (batch, position)
+    # channel statistics over (batch, position).  x is the conv output, a
+    # channels-last array seen as (B, F, L); the reductions run on that layout
     if mode == MODE_TRAIN:
         mu = x.mean(axis=(0, 2))
-        var = x.var(axis=(0, 2))
+        # np.var's own steps, keeping the centred values for xhat
+        xhat = x - mu[None, :, None]
+        var = (xhat * xhat).sum(axis=(0, 2)) / (x.shape[0] * x.shape[2])
         new_mean = BN_MOMENTUM * running_mean + (1.0 - BN_MOMENTUM) * mu
         new_var = BN_MOMENTUM * running_var + (1.0 - BN_MOMENTUM) * var
     else:
-        mu, var = running_mean, running_var
+        xhat = x - running_mean[None, :, None]
+        var = running_var
         new_mean, new_var = running_mean, running_var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x - mu[None, :, None]) * inv_std[None, :, None]
-    out = gamma[None, :, None] * xhat + beta[None, :, None]
+    xhat *= inv_std[None, :, None]
+    out = xhat * gamma[None, :, None]
+    out += beta[None, :, None]
     return out, (xhat, inv_std), (new_mean, new_var)
 
 
 def _maxpool2(x):
+    # x is post-ReLU.  a >= b is argmax's rule: the first of a tie wins, so
+    # a -0.0 and +0.0 pair gives the -0.0.  The pick is made on the values'
+    # bits, through masks of all ones (a wins) or zeros: np.where branches
+    # on each element and costs several times more
     lp = x.shape[2] // POOL_WIDTH
-    xv = x[:, :, :lp * POOL_WIDTH].reshape(x.shape[0], x.shape[1], lp, POOL_WIDTH)
-    arg = xv.argmax(axis=3)
-    out = np.take_along_axis(xv, arg[..., None], axis=3)[..., 0]
-    return out, (arg, x.shape[2])
+    a, b = x[:, :, 0:lp * POOL_WIDTH:2], x[:, :, 1:lp * POOL_WIDTH:2]
+    keep = (a >= b).astype(np.int64)
+    np.negative(keep, out=keep)
+    out = a.view(np.int64) & keep
+    out |= b.view(np.int64) & ~keep
+    out = out.view(np.float64)
+    return out, (keep, out, x.shape[2])
 
 
 def forward(model: Model, x: np.ndarray, mode: str) -> ForwardTrace:
@@ -292,9 +317,7 @@ def forward(model: Model, x: np.ndarray, mode: str) -> ForwardTrace:
             if mode == MODE_TRAIN:
                 model.bn[f"bn{blk}.running_mean"] = nm
                 model.bn[f"bn{blk}.running_var"] = nv
-            mask = h > 0
-            caches[f"relu{blk}"] = mask
-            h = h * mask
+            h *= h > 0
             h, pool_cache = _maxpool2(h)
             caches[f"pool{blk}"] = pool_cache
         caches["conv_out_shape"] = h.shape
@@ -335,35 +358,48 @@ def _conv1d_backward(dout, cols, w, input_grad=True):
     db = dout.sum(axis=(0, 2))
     if not input_grad:
         return None, dw, db
-    dcols = (dout.transpose(0, 2, 1) @ w.reshape(f, -1)).reshape(b, lout, c, k)
+    # (b, c, k, lout): each tap's slice is contiguous
+    dcols = (w.reshape(f, -1).T @ dout).reshape(b, c, k, lout)
     dx = np.zeros((b, c, lout + k - 1))
     for kk in range(k):
-        dx[:, :, kk:kk + lout] += dcols[:, :, :, kk].transpose(0, 2, 1)
+        dx[:, :, kk:kk + lout] += dcols[:, :, kk]
     return dx, dw, db
 
 
 def _bn_backward(dout, cache, gamma, mode):
+    # dout is C-ordered (B, F, L); xhat is converted to it once, so every
+    # pass and every reduction below runs on one layout
     xhat, inv_std = cache
+    xhat = np.ascontiguousarray(xhat)
     dgamma = (dout * xhat).sum(axis=(0, 2))
     dbeta = dout.sum(axis=(0, 2))
     dxhat = dout * gamma[None, :, None]
     if mode == MODE_EVAL:
-        dx = dxhat * inv_std[None, :, None]
-        return dx, dgamma, dbeta
+        dxhat *= inv_std[None, :, None]
+        return dxhat, dgamma, dbeta
     n = dout.shape[0] * dout.shape[2]
     s1 = dxhat.sum(axis=(0, 2), keepdims=True)
     s2 = (dxhat * xhat).sum(axis=(0, 2), keepdims=True)
-    dx = (inv_std[None, :, None] / n) * (n * dxhat - s1 - xhat * s2)
+    dx = n * dxhat
+    dx -= s1
+    dx -= xhat * s2
+    dx *= inv_std[None, :, None] / n
     return dx, dgamma, dbeta
 
 
 def _maxpool2_backward(dout, cache):
-    arg, l = cache
+    # the ReLU before the pool passes a gradient where its picked input was
+    # positive, which is where the pooled value is; multiplying by that mask
+    # keeps the sign of a zero as the ReLU's own mask does.  The forward's
+    # bit masks then route each gradient to its pick and +0.0 to the other
+    keep, pooled, l = cache
     b, f, lp = dout.shape
+    keep = np.ascontiguousarray(keep)
+    bits = (dout * np.ascontiguousarray(pooled > 0)).view(np.int64)
     dx = np.zeros((b, f, l))
-    # scatter through a (b, f, lp, POOL_WIDTH) view of the pooled span
-    dxv = dx[:, :, :lp * POOL_WIDTH].reshape(b, f, lp, POOL_WIDTH)
-    np.put_along_axis(dxv, arg[..., None], dout[..., None], axis=3)
+    dx_bits = dx.view(np.int64)
+    np.bitwise_and(bits, keep, out=dx_bits[:, :, 0:lp * POOL_WIDTH:2])
+    np.bitwise_and(bits, ~keep, out=dx_bits[:, :, 1:lp * POOL_WIDTH:2])
     return dx
 
 
@@ -410,7 +446,6 @@ def backward(params: ModelParams, trace: ForwardTrace, grad_logits: np.ndarray,
         dh = dh.reshape(caches["conv_out_shape"])
         for blk in ("2", "1"):
             dh = _maxpool2_backward(dh, caches[f"pool{blk}"])
-            dh = dh * caches[f"relu{blk}"]
             dh, dgamma, dbeta = _bn_backward(dh, caches[f"bn{blk}"],
                                              params.get(f"bn{blk}.gamma"), trace.mode)
             g[f"bn{blk}.gamma"] = dgamma

@@ -504,6 +504,44 @@ def test_blas_thread_count_does_not_change_the_run(tmp_path):
     assert outs[0].count(b"\n") == 7
 
 
+# prints the minor page faults of five CNN client steps after two warm-up
+# steps, with the allocator setting a run makes, or "no mallopt"
+_STEP_FAULTS = """
+import ctypes, resource
+import numpy as np
+from fedkdx import experiment
+from fedkdx.nn import backward, build_cnn_har, forward
+try:
+    ctypes.CDLL(None).mallopt
+except (OSError, AttributeError, TypeError):
+    print("no mallopt")
+    raise SystemExit
+experiment._keep_freed_memory()
+model = build_cnn_har(9, 128, 6, seed=0)
+rng = np.random.default_rng(0)
+x, grad_logits = rng.normal(size=(32, 9, 128)), rng.normal(size=(32, 6))
+def step():
+    local = model.copy()
+    backward(local.params, forward(local, x, "train"), grad_logits)
+for _ in range(2):
+    step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_a_run_keeps_the_memory_a_client_step_frees():
+    # with glibc's default thresholds the five steps fault about 30 000
+    # pages back in, the ones the step before handed back to the kernel
+    out = subprocess.run([sys.executable, "-c", _STEP_FAULTS], env=package_env(),
+                         check=True, timeout=120, capture_output=True, text=True)
+    if out.stdout.strip() == "no mallopt":
+        pytest.skip("the C library has no mallopt")
+    assert int(out.stdout) < 500
+
+
 def test_cli_import_leaves_out_the_signal_toolbox():
     # nothing on a run path filters or windows raw streams, so the CLI
     # must not pay for importing scipy.signal

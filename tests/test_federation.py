@@ -26,7 +26,7 @@ from fedkdx.federation import (
 from fedkdx.linalg import finite_diff_grad, softmax_rows
 from fedkdx.losses import LossConfig, combined_loss
 from fedkdx.nn import (LayerParam, ModelParams, backward, build_cnn_har, build_mlp,
-                       forward, params_iadd_scaled)
+                       forward, params_iadd_scaled, widest_row_bytes)
 from helpers import make_experiment, params_equal, rel_err
 
 
@@ -417,18 +417,60 @@ def test_fedprox_and_fedavg_rounds_diverge_only_through_mu():
 
 # ---------------------------------------------------------------- evaluation
 
-def test_evaluation_chunking_is_exact():
+def chunked_evaluation(monkeypatch, model, x, y):
+    """evaluate's scores and the logits of each chunk it forwarded."""
+    chunks = []
+
+    def keep(model, x, mode):
+        tr = forward(model, x, mode)
+        chunks.append(tr.logits)
+        return tr
+
+    with monkeypatch.context() as m:
+        m.setattr(fed, "forward", keep)
+        return evaluate(model, x, y), chunks
+
+
+def metrics_of(logits, y):
+    from fedkdx import metrics as mt
+    batch = mt.EvalBatch(softmax_rows(logits, 1.0), y)
+    return {"accuracy": mt.accuracy(batch),
+            "f1_macro": mt.macro_f1(batch),
+            "recall_macro": mt.macro_recall(batch),
+            "auc_macro": mt.macro_auc_ovr(batch)}
+
+
+def test_evaluation_chunking_is_exact(monkeypatch):
     model = build_mlp(6, 3, seed=9)
     rng = np.random.default_rng(10)
-    n = fed.EVAL_CHUNK * 2 + 37  # forces three chunks, last one short
+    budget = fed.EVAL_BYTES // widest_row_bytes(model.params)
+    n = budget * 2 + 37  # forces three chunks, last one short
     x = rng.normal(size=(n, 6))
     y = rng.integers(0, 3, size=n)
-    got = evaluate(model, x, y)
+    got, chunks = chunked_evaluation(monkeypatch, model, x, y)
+    assert [len(c) for c in chunks] == [budget, budget, 37]
+    # the MLP's tiny head GEMM rounds its last bits differently past
+    # thousands of rows, so the scores are compared, not the logits
+    assert got == metrics_of(forward(model, x, "eval").logits, y)
 
-    from fedkdx import metrics as mt
+
+def test_cnn_evaluation_chunking_is_exact(monkeypatch):
+    model = build_cnn_har(9, 128, 3, seed=9)
+    rng = np.random.default_rng(10)
+    forward(model, rng.normal(size=(16, 9, 128)), "train")  # statistics off their init
+    budget = fed.EVAL_BYTES // widest_row_bytes(model.params)
+    n = budget * 2 + 11  # two whole chunks and a short one
+    x = rng.normal(size=(n, 9, 128))
+    y = rng.integers(0, 3, size=n)
+    got, chunks = chunked_evaluation(monkeypatch, model, x, y)
+    sizes = [len(c) for c in chunks]
+    assert len(sizes) == 3 and max(sizes) <= budget and sizes[-1] < sizes[0]
     full = forward(model, x, "eval").logits
-    batch = mt.EvalBatch(softmax_rows(full, 1.0), y)
-    assert got == {"accuracy": mt.accuracy(batch),
-                   "f1_macro": mt.macro_f1(batch),
-                   "recall_macro": mt.macro_recall(batch),
-                   "auc_macro": mt.macro_auc_ovr(batch)}
+    assert np.concatenate(chunks).tobytes() == full.tobytes()
+    assert got == metrics_of(full, y)
+
+    # a one-row tail, which a GEMM takes on another path, joins the chunk before
+    n = sizes[0] * 2 + 1
+    _, chunks = chunked_evaluation(monkeypatch, model, x[:n], y[:n])
+    assert [len(c) for c in chunks] == [sizes[0], sizes[0] + 1]
+    assert np.concatenate(chunks).tobytes() == forward(model, x[:n], "eval").logits.tobytes()

@@ -53,12 +53,19 @@ def test_cross_entropy_gradients_match_finite_differences():
 
 
 def test_cross_entropy_rejects_bad_input():
-    with pytest.raises(ValueError):
+    # the public one-sample loss checks its values; ce_batch, on the
+    # minibatch path, checks shapes only
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
         cross_entropy([1.0, 2.0], 2)  # label out of range
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+        cross_entropy([1.0, 2.0], -1)
+    with pytest.raises(ValueError, match="labels must be integers"):
+        cross_entropy([1.0, 2.0], 0.0)
+    with pytest.raises(ValueError, match="single logit vector"):
         cross_entropy([[1.0, 2.0], [0.0, 1.0]], 0)  # batch where vector expected
-    with pytest.raises(ValueError):
-        cross_entropy([np.nan, 0.0], 0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            cross_entropy([bad, 0.0], 0)
 
 
 def test_ce_batch_is_mean_of_rows_with_batch_scaled_gradient():
@@ -69,8 +76,12 @@ def test_ce_batch_is_mean_of_rows_with_batch_scaled_gradient():
     singles = [cross_entropy(z[i], y[i]) for i in range(4)]
     assert abs(v - np.mean([s[0] for s in singles])) < 1e-15
     assert np.abs(g - np.stack([s[1] for s in singles]) / 4).max() < 1e-15
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must share one batch"):
         ce_batch(z, y[:3])
+    with pytest.raises(ValueError, match="must share one batch"):
+        ce_batch(z[0], y[:1])  # a logit vector is not a batch
+    with pytest.raises(ValueError, match="must share one batch"):
+        ce_batch(z, y[:, None])
 
 
 # ------------------------------------------------------------ distillation

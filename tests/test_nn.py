@@ -24,7 +24,7 @@ from fedkdx.nn import (
     params_iadd_scaled,
     save_checkpoint,
 )
-from fedkdx.nn import _conv1d, _conv1d_backward, _maxpool2  # noqa: F401 - oracle targets
+from fedkdx.nn import _conv1d, _conv1d_backward, _maxpool2, _maxpool2_backward  # noqa: F401 - oracle targets
 from helpers import package_env, params_equal, rel_err
 
 
@@ -138,9 +138,55 @@ def test_maxpool_takes_first_on_ties():
     pooled, cache = _maxpool2(x)
     assert pooled.tolist() == [[[2.0, 3.0]]]
     grad = np.ones_like(pooled)
-    from fedkdx.nn import _maxpool2_backward
     dx = _maxpool2_backward(grad, cache)
     assert dx.tolist() == [[[1.0, 0.0, 0.0, 1.0]]]
+
+
+def oracle_relu_pool(h):
+    """ReLU then pooling by argmax and gather, as the kernels did before
+    pooling by comparison; the cache holds the picks and the ReLU mask."""
+    mask = h > 0
+    r = h * mask
+    b, f, l = r.shape
+    rv = r[:, :, :l // 2 * 2].reshape(b, f, l // 2, 2)
+    arg = rv.argmax(axis=3)
+    return np.take_along_axis(rv, arg[..., None], axis=3)[..., 0], (arg, mask)
+
+
+def oracle_relu_pool_backward(dout, cache):
+    """Scatter into zeros at the argmax picks, then the ReLU mask."""
+    arg, mask = cache
+    b, f, lp = dout.shape
+    dx = np.zeros(mask.shape)
+    np.put_along_axis(dx[:, :, :lp * 2].reshape(b, f, lp, 2), arg[..., None],
+                      dout[..., None], axis=3)
+    return dx * mask
+
+
+@pytest.mark.parametrize("length", [10, 11], ids=["even", "odd"])
+@pytest.mark.parametrize("channels_last", [False, True], ids=["c_order", "channels_last"])
+def test_pooling_by_comparison_matches_argmax_bit_for_bit(length, channels_last):
+    rng = np.random.default_rng(length)
+    # few distinct values: many ties, and negatives that the ReLU sends to
+    # -0.0 beside exact +0.0 and -0.0 inputs
+    h = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=(6, 5, length))
+    if channels_last:  # the layout the conv output has in forward
+        h = np.ascontiguousarray(h.transpose(0, 2, 1)).transpose(0, 2, 1)
+    want, oracle_cache = oracle_relu_pool(h)
+    r = h * (h > 0)
+    got, cache = _maxpool2(r)
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(want).any() and (want == 0.0).sum() > np.signbit(want).sum()
+
+    dout = rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0], size=got.shape)
+    want_dx = oracle_relu_pool_backward(dout, oracle_cache)
+    got_dx = _maxpool2_backward(dout, cache)
+    assert got_dx.shape == h.shape
+    assert got_dx.tobytes() == want_dx.tobytes()
+    assert np.signbit(want_dx).any()
+    if length % 2:
+        # the tail column the pool drops gets a +0.0 gradient
+        assert got_dx[:, :, -1].tobytes() == np.zeros((6, 5)).tobytes()
 
 
 def test_forward_shapes_and_feature_tap():
@@ -275,11 +321,13 @@ def test_conv1d_backward_matches_naive_loops(in_shape, filters):
 
 
 # prints a digest of the bytes of the logits and of every gradient of the
-# HAR CNN, per batch size and mode
+# HAR CNN, per batch size and mode; then one line for the logits of
+# evaluate's chunks, over a set of two whole chunks and a short one
 _CNN_KERNEL_DIGESTS = """
 import hashlib
 import numpy as np
-from fedkdx.nn import backward, build_cnn_har, forward
+from fedkdx import federation
+from fedkdx.nn import backward, build_cnn_har, forward, widest_row_bytes
 for bsz in (1, 7, 13, 32):
     for mode in ("train", "eval"):
         rng = np.random.default_rng(bsz)
@@ -289,17 +337,34 @@ for bsz in (1, 7, 13, 32):
                          rng.normal(size=(bsz, 128)))
         for name, a in [("logits", tr.logits)] + [(l.name, l.values) for l in grads.layers]:
             print(bsz, mode, name, hashlib.sha256(a.tobytes()).hexdigest())
+chunks = []
+def keep(model, x, mode):
+    tr = forward(model, x, mode)
+    chunks.append(tr.logits)
+    return tr
+federation.forward = keep
+model = build_cnn_har(9, 128, 6, seed=0)
+n = 2 * (federation.EVAL_BYTES // widest_row_bytes(model.params)) + 11
+x = np.random.default_rng(0).normal(size=(n, 9, 128))
+forward(model, x[:32], "train")  # running statistics off their init values
+federation.evaluate(model, x, np.arange(n) % 6)
+print("evaluate", [len(c) for c in chunks],
+      hashlib.sha256(np.concatenate(chunks).tobytes()).hexdigest())
 """
 
 
 def test_blas_thread_count_does_not_change_cnn_kernels():
-    outs = []
+    outs, evals = [], []
     for blas in ("1", "2"):
         proc = subprocess.run([sys.executable, "-c", _CNN_KERNEL_DIGESTS],
                               env=package_env(OPENBLAS_NUM_THREADS=blas), check=True, timeout=300, capture_output=True, text=True)
-        outs.append(proc.stdout.splitlines())
+        lines = proc.stdout.splitlines()
+        evals.append([line for line in lines if line.startswith("evaluate")])
+        outs.append([line for line in lines if not line.startswith("evaluate")])
     assert outs[0] == outs[1]
     assert len(outs[0]) == 4 * 2 * 15  # batch sizes x modes x (logits + 14 grads)
+    assert evals[0] == evals[1]
+    assert len(evals[0]) == 1 and "[32, 32, 17]" in evals[0][0]
 
 
 def test_backward_rejects_mismatched_trace():
