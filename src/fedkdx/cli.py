@@ -2,7 +2,7 @@
 
     fedkdx run       --config cfg.yaml --out results/ [--seed N] [--threads N]
     fedkdx partition --config cfg.yaml --out results/ [--seed N]
-    fedkdx sweep     --config cfg.yaml --out results/ [--seed N] [--threads N]
+    fedkdx sweep     --config cfg.yaml --out results/ [--seed N [N ...]] [--threads N]
 
 Exit codes: 0 success, 1 runtime failure (with round context), 2 config
 validation failure.
@@ -16,8 +16,7 @@ import dataclasses
 import os
 import sys
 
-from .config import (COMPONENT_FLAGS, ConfigError, DEFAULT_JOIN_SWEEP, RunConfig,
-                     SweepConfig, load_config)
+from .config import ConfigError, RunConfig, load_config, sweep_points
 from .experiment import run_experiment, write_partition_table
 
 EXIT_OK = 0
@@ -25,10 +24,12 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
-def _add_common(p: argparse.ArgumentParser, threads: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, threads: bool = True,
+                seed_nargs: str | None = None) -> None:
     p.add_argument("--config", required=True, help="YAML config file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
+    p.add_argument("--seed", type=int, nargs=seed_nargs, default=None,
+                   help="override config seed; sweep takes a list")
     if threads:
         p.add_argument("--threads", type=int, default=1,
                        help="client threads per round (0 = auto)")
@@ -41,7 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub.add_parser("run", help="execute one configured experiment"))
     _add_common(sub.add_parser("partition", help="write the per-client class table"),
                 threads=False)
-    _add_common(sub.add_parser("sweep", help="run the sweep axis from the config"))
+    _add_common(sub.add_parser("sweep", help="run the sweep axis from the config"),
+                seed_nargs="+")
     return parser
 
 
@@ -75,39 +77,22 @@ def cmd_partition(args) -> int:
     return EXIT_OK
 
 
-def _sweep_points(cfg: RunConfig, sweep: SweepConfig) -> list[tuple[str, RunConfig]]:
-    base = dataclasses.replace(cfg, sweep=None)
-    points = []
-    if sweep.axis == "join_ratio":
-        for ratio in sweep.values:
-            points.append((f"join_{ratio:g}",
-                           dataclasses.replace(base, join_ratio=float(ratio))))
-    else:
-        for label, (nkd, ctl) in COMPONENT_FLAGS.items():
-            points.append((label.replace("+", "_"),
-                           dataclasses.replace(base, strategy="FEDKDX",
-                                               enable_nkd=nkd, enable_ctl=ctl)))
-    return points
-
-
 def cmd_sweep(args) -> int:
-    cfg = _load(args)
-    sweep = cfg.sweep or SweepConfig(axis="join_ratio", values=DEFAULT_JOIN_SWEEP)
-    rows = []
+    axis, points = sweep_points(load_config(args.config), args.seed)
+    columns = ("seed", "accuracy", "f1_macro", "recall_macro", "auc_macro",
+               "bytes_up", "bytes_down", "wall_seconds")
     threads = _resolve_threads(args.threads)
-    for label, point_cfg in _sweep_points(cfg, sweep):
-        out_dir = os.path.join(args.out, label)
-        summary = run_experiment(point_cfg, out_dir, threads=threads)
-        final = summary["final"]
-        rows.append([label, repr(final["accuracy"]), repr(final["f1_macro"]),
-                     repr(final["recall_macro"]), repr(final["auc_macro"]),
-                     repr(summary["totals"]["wall_seconds"])])
-        print(f"{label}: accuracy {final['accuracy']:.4f}")
+    rows = []
+    for label, point in points:
+        name = f"{label}_seed{point.seed}"
+        summary = run_experiment(point, os.path.join(args.out, name), threads=threads)
+        cells = {"seed": point.seed, **summary["final"], **summary["totals"]}
+        rows.append([label] + [cells[c] for c in columns])
+        print(f"{name}: accuracy {cells['accuracy']:.4f}")
     sweep_path = os.path.join(args.out, "sweep.csv")
     with open(sweep_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([sweep.axis, "accuracy", "f1_macro", "recall_macro",
-                         "auc_macro", "wall_seconds"])
+        writer.writerow((axis,) + columns)
         writer.writerows(rows)
     print(f"sweep summary written to {sweep_path}")
     return EXIT_OK

@@ -22,7 +22,7 @@ from .federation import STRATEGIES
 from .losses import LossConfig
 
 DATASET_KINDS = ("synthetic", "ucihar")
-SWEEP_AXES = ("join_ratio", "components")
+SWEEP_AXES = ("join_ratio", "components", "strategy")
 
 DEFAULT_JOIN_SWEEP = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
 # the rows of the components sweep: label -> (enable_nkd, enable_ctl)
@@ -100,12 +100,12 @@ class RunConfig:
             d["dataset"] = {"kind": self.dataset.kind, "root": self.dataset.root}
         if self.sweep is None:
             del d["sweep"]
-        elif self.sweep.axis == "join_ratio":
-            d["sweep"]["values"] = list(self.sweep.values)
-        else:
+        elif self.sweep.axis == "components":
             # the components axis has fixed rows, so echoing its values
             # back would be rejected on re-parse
             del d["sweep"]["values"]
+        else:
+            d["sweep"]["values"] = list(self.sweep.values)
         return d
 
 
@@ -159,6 +159,45 @@ def _take_section(raw: dict, cls: type, section: str, problems: list[str]) -> di
     return out
 
 
+def _sweep_point(axis: str, value) -> tuple[str, dict]:
+    """The label of a sweep point and the settings it overrides."""
+    if axis == "join_ratio":
+        return f"join_{value:g}", {"join_ratio": float(value)}
+    if axis == "strategy":
+        return value.lower(), {"strategy": value}
+    nkd, ctl = COMPONENT_FLAGS[value]
+    return value.replace("+", "_"), {"strategy": "FEDKDX", "enable_nkd": nkd,
+                                     "enable_ctl": ctl}
+
+
+def _sweep_values(axis: str, values, problems: list[str]) -> tuple:
+    """The points of a valid axis; ``values`` as given, None when unset."""
+    if axis == "components":
+        if values:
+            problems.append("sweep.values: the components axis has fixed rows; "
+                            "leave values unset")
+        return tuple(COMPONENT_FLAGS)
+    if values is None:
+        values = DEFAULT_JOIN_SWEEP if axis == "join_ratio" else STRATEGIES
+    if not values:
+        problems.append("sweep.values: empty list")
+    elif axis == "join_ratio" and not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v <= 1
+            for v in values):
+        problems.append("sweep.values: join ratios must lie in (0, 1]")
+    elif axis == "strategy" and not all(v in STRATEGIES for v in values):
+        problems.append(f"sweep.values: strategies must be among {STRATEGIES}, "
+                        f"got {list(values)!r}")
+    else:
+        # each point writes to a directory named by its label, so two values
+        # with one label would overwrite each other's artifacts
+        labels = [_sweep_point(axis, v)[0] for v in values]
+        problems += [f"sweep.values: {v!r} repeats the point {label}"
+                     for i, (v, label) in enumerate(zip(values, labels))
+                     if label in labels[:i]]
+    return tuple(values)
+
+
 def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError([f"top level must be a mapping, got {type(raw).__name__}"])
@@ -192,21 +231,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         if axis not in SWEEP_AXES:
             problems.append(f"sweep.axis: must be one of {SWEEP_AXES}, got {axis!r}")
         else:
-            values = sw.get("values")
-            if axis == "join_ratio":
-                if values is None:
-                    values = list(DEFAULT_JOIN_SWEEP)
-                if not values:
-                    problems.append("sweep.values: empty list")
-                elif not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                             and 0 < v <= 1 for v in values):
-                    problems.append("sweep.values: join ratios must lie in (0, 1]")
-            else:
-                if values:
-                    problems.append("sweep.values: the components axis has fixed rows; "
-                                    "leave values unset")
-                values = list(COMPONENT_FLAGS)
-            sweep_cfg = SweepConfig(axis=axis, values=tuple(values))
+            sweep_cfg = SweepConfig(axis=axis,
+                                    values=_sweep_values(axis, sw.get("values"), problems))
 
     # a missing kind is already reported; the placeholder names no kind, so
     # only the checks that need none run on the dataset
@@ -268,3 +294,27 @@ def load_config(path: str) -> RunConfig:
     if raw is None:
         raise ConfigError(["config file is empty"])
     return config_from_dict(raw)
+
+
+def sweep_points(cfg: RunConfig, seeds: list[int] | None = None
+                 ) -> tuple[str, list[tuple[str, RunConfig]]]:
+    """The sweep's axis and each (label, config) it runs, every value of
+    the axis once at each seed, a value's seeds in a row.
+
+    A config without a ``sweep:`` section sweeps the join ratios of
+    ``DEFAULT_JOIN_SWEEP``; without ``seeds`` every point runs at the
+    config's own seed.
+    """
+    sweep = cfg.sweep or SweepConfig(axis="join_ratio", values=DEFAULT_JOIN_SWEEP)
+    seeds = [cfg.seed] if seeds is None else seeds
+    problems = [f"--seed: must be >= 0, got {s}" for s in seeds if s < 0]
+    problems += [f"--seed: {s} given twice" for i, s in enumerate(seeds)
+                 if s in seeds[:i]]
+    if problems:
+        raise ConfigError(problems)
+    points = []
+    for value in sweep.values:
+        label, settings = _sweep_point(sweep.axis, value)
+        points += [(label, dataclasses.replace(cfg, sweep=None, seed=s, **settings))
+                   for s in seeds]
+    return sweep.axis, points

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -112,6 +113,8 @@ def record_row(rec: fed.RoundRecord) -> list[str]:
     return [_format_cell(getattr(rec, col)) for col in CSV_COLUMNS]
 
 
+# once per process: the code that runs is the code imported at its start
+@functools.cache
 def version_string() -> str:
     base = f"fedkdx-{__version__}"
     try:

@@ -265,7 +265,10 @@ def evaluate(model: Model, x: np.ndarray, y: np.ndarray) -> dict[str, float]:
     start on multiples of 8 rows, where OpenBLAS's GEMM row tiles start, and
     a tail under 8 rows, which a GEMM takes on another path (gemv for one
     row), joins the chunk before it.  The CNN's logits then equal those of
-    one whole-set forward bit for bit.
+    one whole-set forward bit for bit.  The MLP's need not: its head GEMM
+    rounds differently at other row counts, so on a set over one chunk
+    (8192 rows) its logits depend on ``EVAL_BYTES``.  They are still
+    deterministic for a given ``EVAL_BYTES``.
     """
     rows = max(8, EVAL_BYTES // widest_row_bytes(model.params) // 8 * 8)
     bounds = list(range(0, x.shape[0], rows)) + [x.shape[0]]

@@ -367,10 +367,10 @@ def _conv1d_backward(dout, cols, w, input_grad=True):
 
 
 def _bn_backward(dout, cache, gamma, mode):
-    # dout is C-ordered (B, F, L); xhat is converted to it once, so every
-    # pass and every reduction below runs on one layout
+    # dout is C-ordered (B, F, L) and xhat channels-last, as the forward left
+    # it.  A product with dout comes out C-ordered, so each reduction below
+    # runs on dout's layout; an elementwise pass gives the same bits in any
     xhat, inv_std = cache
-    xhat = np.ascontiguousarray(xhat)
     dgamma = (dout * xhat).sum(axis=(0, 2))
     dbeta = dout.sum(axis=(0, 2))
     dxhat = dout * gamma[None, :, None]

@@ -13,12 +13,13 @@ import pytest
 
 from fedkdx.cli import main
 from fedkdx.config import (ConfigError, DEFAULT_JOIN_SWEEP, config_from_dict,
-                           load_config)
+                           load_config, sweep_points)
 from fedkdx.experiment import (CSV_COLUMNS, build_experiment, run_experiment,
                                version_string, write_partition_table)
-from fedkdx.federation import RoundError, run_round
+from fedkdx.federation import STRATEGIES, RoundError, run_round
 from fedkdx.nn import build_cnn_har, load_checkpoint
 from helpers import SMALL_SYNTH, make_config, package_env, params_equal
+from test_acceptance import STUDY_RAW
 from test_data import write_fake_archive
 
 
@@ -238,6 +239,70 @@ def test_sweep_section_rules():
     with pytest.raises(ConfigError, match="fixed rows"):
         config_from_dict({**copy.deepcopy(MINIMAL),
                           "sweep": {"axis": "components", "values": ["base"]}})
+    strat = config_from_dict({**copy.deepcopy(MINIMAL), "sweep": {"axis": "strategy"}})
+    assert strat.sweep.values == STRATEGIES
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({**copy.deepcopy(MINIMAL), "rounds": 0,
+                          "sweep": {"axis": "strategy", "values": ["FEDAVG", "fedkd"]}})
+    assert err.value.problems == [
+        "sweep.values: strategies must be among ('FEDAVG', 'FEDPROX', 'FEDKD', "
+        "'FEDKDX'), got ['FEDAVG', 'fedkd']",
+        "rounds: must be >= 1, got 0"]
+
+
+def test_sweep_points_need_distinct_labels(tmp_path, capsys):
+    # a join point is labelled with 6 significant digits, and each point
+    # writes to the directory its label names
+    for axis, values, problem in (
+            ("join_ratio", [0.2500001, 0.25000012],
+             "sweep.values: 0.25000012 repeats the point join_0.25"),
+            ("join_ratio", [0.5, 0.25, 0.5],
+             "sweep.values: 0.5 repeats the point join_0.5"),
+            ("strategy", ["FEDKD", "FEDAVG", "FEDKD"],
+             "sweep.values: 'FEDKD' repeats the point fedkd")):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({**copy.deepcopy(MINIMAL), "rounds": 0,
+                              "sweep": {"axis": axis, "values": values}})
+        assert err.value.problems == [problem, "rounds: must be >= 1, got 0"]
+
+    out = str(tmp_path / "s")
+    cfg_path = write_yaml(tmp_path, {**fast_raw(rounds=1),
+                                     "sweep": {"axis": "join_ratio",
+                                               "values": [0.2500001, 0.25000012]}})
+    assert main(["sweep", "--config", cfg_path, "--out", out]) == 2
+    assert "0.25000012 repeats the point join_0.25" in capsys.readouterr().err
+    ok_path = write_yaml(tmp_path, fast_raw(rounds=1), name="ok.yaml")
+    assert main(["sweep", "--config", ok_path, "--out", out,
+                 "--seed", "3", "1", "3", "-2"]) == 2
+    err = capsys.readouterr().err
+    assert "--seed: must be >= 0, got -2" in err
+    assert "--seed: 3 given twice" in err
+    assert not os.path.exists(out)
+
+
+# the points each committed sweep config runs
+SWEEP_LABELS = {
+    "sweep_join.yaml": ("join_ratio", ["join_0.2", "join_0.3", "join_0.4", "join_0.5",
+                                       "join_0.6", "join_0.7", "join_0.8"]),
+    "sweep_components.yaml": ("components", ["base", "base_nkd", "base_ct_nkd"]),
+    "sweep_strategy.yaml": ("strategy", ["fedavg", "fedprox", "fedkd", "fedkdx"]),
+}
+
+
+def test_committed_configs_load_echo_and_expand():
+    config_dir = Path(__file__).parent.parent / "scripts" / "configs"
+    sweeps = set()
+    for path in sorted(config_dir.glob("*.yaml")):
+        cfg = load_config(str(path))
+        assert config_from_dict(cfg.to_dict()) == cfg, path.name
+        if cfg.sweep is not None:
+            axis, points = sweep_points(cfg)
+            assert (axis, [label for label, _ in points]) == SWEEP_LABELS[path.name]
+            sweeps.add(path.name)
+    assert sweeps == set(SWEEP_LABELS)
+    # the strategy study runs the acceptance gates' setup
+    assert load_config(str(config_dir / "sweep_strategy.yaml")) == config_from_dict(
+        {**copy.deepcopy(STUDY_RAW), "sweep": {"axis": "strategy"}})
 
 
 def test_load_config_file_failures(tmp_path):
@@ -582,14 +647,14 @@ def test_cli_sweep_over_join_ratios(tmp_path, capsys):
     out = str(tmp_path / "s")
     assert main(["sweep", "--config", cfg_path, "--out", out]) == 0
     captured = capsys.readouterr()
-    assert "join_0.25: accuracy" in captured.out
-    assert "join_0.75: accuracy" in captured.out
+    assert "join_0.25_seed0: accuracy" in captured.out
+    assert "join_0.75_seed0: accuracy" in captured.out
     with open(os.path.join(out, "sweep.csv")) as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["join_ratio", "accuracy", "f1_macro", "recall_macro",
-                       "auc_macro", "wall_seconds"]
+    assert rows[0] == ["join_ratio", "seed", "accuracy", "f1_macro", "recall_macro",
+                       "auc_macro", "bytes_up", "bytes_down", "wall_seconds"]
     assert [r[0] for r in rows[1:]] == ["join_0.25", "join_0.75"]
-    for d in ("join_0.25", "join_0.75"):
+    for d in ("join_0.25_seed0", "join_0.75_seed0"):
         assert os.path.exists(os.path.join(out, d, "summary.json"))
 
 
@@ -607,18 +672,46 @@ def test_cli_sweep_over_components(tmp_path, capsys):
                                      "sweep": {"axis": "components"}})
     out = str(tmp_path / "sc")
     assert main(["sweep", "--config", cfg_path, "--out", out]) == 0
-    for d in ("base", "base_nkd", "base_ct_nkd"):
+    for d in ("base_seed0", "base_nkd_seed0", "base_ct_nkd_seed0"):
         with open(os.path.join(out, d, "summary.json")) as fh:
             loaded = json.load(fh)
         assert loaded["config"]["strategy"] == "FEDKDX"
-    with open(os.path.join(out, "base", "summary.json")) as fh:
+    with open(os.path.join(out, "base_seed0", "summary.json")) as fh:
         assert json.load(fh)["config"]["enable_nkd"] is False
-    with open(os.path.join(out, "base_ct_nkd", "summary.json")) as fh:
+    with open(os.path.join(out, "base_ct_nkd_seed0", "summary.json")) as fh:
         assert json.load(fh)["config"]["enable_ctl"] is True
     with open(os.path.join(out, "sweep.csv")) as fh:
         rows = list(csv.reader(fh))
     assert rows[0][0] == "components"
     assert len(rows) == 4
+
+
+def test_cli_sweep_over_strategies_and_seeds(tmp_path):
+    cfg_path = write_yaml(tmp_path, {**fast_raw(rounds=1),
+                                     "sweep": {"axis": "strategy",
+                                               "values": ["FEDAVG", "FEDKDX"]}})
+    out = tmp_path / "st"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out),
+                 "--seed", "4", "3"]) == 0
+    with open(out / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["strategy"], r["seed"]) for r in rows] == [
+        ("fedavg", "4"), ("fedavg", "3"), ("fedkdx", "4"), ("fedkdx", "3")]
+    for r in rows:
+        with open(out / f"{r['strategy']}_seed{r['seed']}" / "summary.json") as fh:
+            summary = json.load(fh)
+        assert summary["config"]["strategy"] == r["strategy"].upper()
+        assert summary["config"]["seed"] == int(r["seed"])
+        assert "sweep" not in summary["config"]
+        assert float(r["accuracy"]) == summary["final"]["accuracy"]
+        assert int(r["bytes_up"]) == summary["totals"]["bytes_up"]
+        assert int(r["bytes_down"]) == summary["totals"]["bytes_down"]
+    # a point is the run its strategy and seed name
+    run_path = write_yaml(tmp_path, fast_raw(rounds=1, strategy="FEDAVG"), name="run.yaml")
+    assert main(["run", "--config", run_path, "--out", str(tmp_path / "r"),
+                 "--seed", "3"]) == 0
+    assert ((tmp_path / "r" / "metrics.csv").read_bytes()
+            == (out / "fedavg_seed3" / "metrics.csv").read_bytes())
 
 
 def test_cli_echo_reproduces_the_run(tmp_path):
