@@ -50,6 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> RunConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError([f"--seed: must be >= 0, got {args.seed}"])
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 

@@ -154,7 +154,8 @@ def compress_layer(name: str, values: np.ndarray, eps: float,
 
     Returns (entry, svd_failed).  Vectors and scalars always go raw; a
     factored form is emitted only when it strictly beats the raw payload
-    in value count.
+    in value count.  The factors are computed in float64 whatever the
+    tensor's dtype.
     """
     values = np.asarray(values, dtype=np.float64)
     if not np.isfinite(values).all():
@@ -211,7 +212,9 @@ def raw_packet(grads: ModelParams, policy: CompressionPolicy) -> GradientPacket:
 
 
 def decompress(pkt: GradientPacket, template: ModelParams) -> ModelParams:
-    """Reconstruct a float64 gradient with the template's layer structure."""
+    """Reconstruct a gradient with the template's layer structure, each
+    layer in its template layer's dtype: a factored one is multiplied out
+    in that dtype."""
     if [e.name for e in pkt.entries] != template.names():
         raise ValueError(
             f"packet layers {[e.name for e in pkt.entries]} do not match "
@@ -222,12 +225,11 @@ def decompress(pkt: GradientPacket, template: ModelParams) -> ModelParams:
             raise ValueError(
                 f"layer {entry.name!r}: packet shape {entry.shape} != "
                 f"expected {layer.values.shape}")
+        dtype = layer.values.dtype
         if entry.mode == MODE_RAW:
-            rec = entry.raw.astype(np.float64).reshape(entry.shape)
+            rec = entry.raw.astype(dtype).reshape(entry.shape)
         else:
-            u = entry.u.astype(np.float64)
-            s = entry.sigma.astype(np.float64)
-            vt = entry.vt.astype(np.float64)
+            u, s, vt = (a.astype(dtype, copy=False) for a in (entry.u, entry.sigma, entry.vt))
             rec = (u * s) @ vt
             if entry.mode == MODE_LOWRANK_T:
                 rec = rec.T

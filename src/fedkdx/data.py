@@ -61,11 +61,23 @@ class PartitionSpec:
             raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
 
 
-def samples_to_xy(samples: list[Sample]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a shard into (N, channels, length) float64 and (N,) int64."""
+def samples_to_xy(samples: list[Sample], dtype=np.float64,
+                  what: str = "shard") -> tuple[np.ndarray, np.ndarray]:
+    """Stack a shard into (N, channels, length) ``dtype`` and (N,) int64.
+
+    The windows are finite, as the loaders check; one that holds a value
+    beyond ``dtype``'s range is refused, naming ``what`` and its subject,
+    rather than reaching the network as an infinity.
+    """
     if not samples:
-        raise DataError("empty shard")
-    x = np.stack([s.window for s in samples]).astype(np.float64)
+        raise DataError(f"{what} is empty")
+    with np.errstate(over="ignore"):
+        x = np.stack([s.window for s in samples]).astype(dtype, copy=False)
+    out_of_range = ~np.isfinite(x).reshape(len(samples), -1).all(axis=1)
+    if out_of_range.any():
+        subject = samples[int(out_of_range.argmax())].subject
+        raise DataError(f"{what}: a window of subject {subject} holds a value beyond "
+                        f"the {x.dtype} range")
     y = np.array([s.label for s in samples], dtype=np.int64)
     return x, y
 

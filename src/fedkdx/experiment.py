@@ -52,16 +52,23 @@ def _derive_shards(cfg: RunConfig
 
 
 def build_experiment(cfg: RunConfig) -> Experiment:
-    """Materialize dataset, shards, models, and rng streams for one run."""
+    """Materialize dataset, shards, models, and rng streams for one run.
+
+    The CNN computes in float32, the dtype its packets carry by default;
+    the MLP in float64.  Models, running statistics, client shards and the
+    evaluation set are built in that dtype once, here.
+    """
     samples, shards, num_classes = _derive_shards(cfg)
 
     channels, length = samples[0].window.shape
+    synthetic = cfg.dataset.kind == "synthetic"
+    dtype = np.float64 if synthetic else np.float32
 
     def make_model(*tags):
         seed = fed.derive_seed(cfg.seed, *tags)
-        if cfg.dataset.kind == "synthetic":
+        if synthetic:
             return nn.build_mlp(channels * length, num_classes, seed)
-        return nn.build_cnn_har(channels, length, num_classes, seed)
+        return nn.build_cnn_har(channels, length, num_classes, seed, dtype)
 
     student = make_model(fed.STREAM_STUDENT_INIT)
     # averaging runs build no teacher; each teacher has its own stream, so no other moves
@@ -70,7 +77,7 @@ def build_experiment(cfg: RunConfig) -> Experiment:
     clients: dict[int, fed.ClientState] = {}
     eval_x, eval_y = [], []
     for cid, shard in enumerate(shards):
-        x, y = data.samples_to_xy(shard.train)
+        x, y = data.samples_to_xy(shard.train, dtype, f"client {cid} train shard")
         clients[cid] = fed.ClientState(
             client_id=cid,
             teacher=make_model(fed.STREAM_TEACHER_INIT, cid) if distilling else None,
@@ -80,7 +87,7 @@ def build_experiment(cfg: RunConfig) -> Experiment:
             teacher_lr=cfg.lr_teacher, student_lr=cfg.lr_student,
             batch_size=cfg.batch_size)
         if shard.test:
-            tx, ty = data.samples_to_xy(shard.test)
+            tx, ty = data.samples_to_xy(shard.test, dtype, f"client {cid} test shard")
             eval_x.append(tx)
             eval_y.append(ty)
     if not eval_x:

@@ -276,7 +276,8 @@ def evaluate(model: Model, x: np.ndarray, y: np.ndarray) -> dict[str, float]:
         del bounds[-2]
     logits = np.concatenate([forward(model, x[a:b], "eval").logits
                              for a, b in zip(bounds, bounds[1:])])
-    batch = mt.EvalBatch(softmax_rows(logits, 1.0), y)
+    # scored in float64 whatever the compute dtype
+    batch = mt.EvalBatch(softmax_rows(logits.astype(np.float64, copy=False), 1.0), y)
     return {"accuracy": mt.accuracy(batch),
             "f1_macro": mt.macro_f1(batch),
             "recall_macro": mt.macro_recall(batch),

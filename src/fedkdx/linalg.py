@@ -1,9 +1,12 @@
-"""Dense float64 kernels shared by the rest of the package.
+"""Dense kernels shared by the rest of the package.
 
 Everything here operates on plain numpy arrays.  The SVD is LAPACK's
 divide-and-conquer driver (``gesdd``) with the QR-iteration driver
 (``gesvd``) as its fallback, and a fixed singular-vector sign convention so
 the factors do not depend on which driver ran.
+
+The softmax kernels compute in the dtype they are given; the SVD and the
+finite differences in float64.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ class SvdNonConvergence(RuntimeError):
 
 
 def log_softmax_rows(logits: np.ndarray, tau: float) -> np.ndarray:
-    """Log softmax at temperature tau along the last axis of a float64 array;
-    scans nothing, as callers check logits finite and tau > 0 at entry."""
+    """Log softmax at temperature tau along the last axis, in the array's
+    dtype; scans nothing, as callers check logits finite and tau > 0 at entry."""
     return log_softmax_shifted((logits - logits.max(axis=-1, keepdims=True)) / tau)
 
 

@@ -10,6 +10,10 @@ teacher and student logits into one (2, B, C) array, teacher first, so
 each kernel runs once for both sides; a side's peer is the stack reversed
 along its leading axis.  The one-sample losses call the same kernels.
 
+The minibatch losses compute in the dtype of the logits and features they
+are given: float32 for the CNN, float64 for the MLP.  The one-sample losses
+and ``ctl_loss`` cast their arguments to float64.
+
 Values are checked where they enter.  The one-sample losses and
 ``ctl_loss`` check their arguments.  ``combined_loss``, ``ce_batch`` and the
 row kernels run per minibatch on arrays the program built and check shapes
@@ -116,7 +120,7 @@ def _nkd_rows(log_own: np.ndarray, p_own: np.ndarray, p_peer: np.ndarray,
 
     m_peer = np.maximum(1.0 - pt_target, PROB_FLOOR)[..., None]
     m_own = np.maximum(1.0 - ps_target, PROB_FLOOR)[..., None]
-    onehot = np.zeros(log_own.shape)
+    onehot = np.zeros(log_own.shape, log_own.dtype)
     onehot[..., rows, labels] = 1.0
     non_target = onehot == 0.0
 
@@ -137,9 +141,9 @@ def _nkd_rows(log_own: np.ndarray, p_own: np.ndarray, p_peer: np.ndarray,
 
 
 def ce_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross entropy of (B, C) float64 logits against B labels; the
-    gradient carries the 1/B factor.  The minibatch loss of the averaging
-    strategies: like ``combined_loss`` it checks shapes only."""
+    """Mean cross entropy of (B, C) logits against B labels; the gradient
+    carries the 1/B factor and the logits' dtype.  The minibatch loss of
+    the averaging strategies: like ``combined_loss`` it checks shapes only."""
     if logits.ndim != 2 or labels.shape != logits.shape[:1]:
         raise ValueError(f"logits {logits.shape} and labels {labels.shape} "
                          "must share one batch")
@@ -213,7 +217,7 @@ def _ctl_pair(f: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
     logq = log_softmax_rows(a[0] @ a[1].T, tau)
     value = float(-np.trace(logq) / b)
 
-    w = (np.exp(logq) - np.eye(b)) / (b * tau)
+    w = (np.exp(logq) - np.eye(b, dtype=logq.dtype)) / (b * tau)
     g = np.stack((w @ a[1], w.T @ a[0]))
     # back through row normalization: project out the radial component
     return value, (g - (g * a).sum(axis=-1, keepdims=True) * a) / norms

@@ -30,6 +30,9 @@ BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
 
 CHECKPOINT_MAGIC = b"FKDX0001"
+# the meta block's entry naming the compute dtype; absent means float64
+CHECKPOINT_DTYPE_KEY = "dtype"
+COMPUTE_DTYPES = ("float32", "float64")
 
 # numpy's limit on array rank; a stored shape with more dims is corrupt
 MAX_DIMS = 64
@@ -76,6 +79,11 @@ class ModelParams:
     def names(self) -> list[str]:
         return [l.name for l in self.layers]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The compute dtype: every layer of a model shares its first one's."""
+        return self.layers[0].values.dtype
+
     def get(self, name: str) -> np.ndarray:
         for l in self.layers:
             if l.name == name:
@@ -98,7 +106,8 @@ class ModelParams:
         out, pos = [], 0
         for l in self.layers:
             n = l.values.size
-            out.append(LayerParam(l.name, vec[pos:pos + n].reshape(l.values.shape).copy()))
+            out.append(LayerParam(l.name,
+                                  vec[pos:pos + n].reshape(l.values.shape).astype(l.values.dtype)))
             pos += n
         return ModelParams(self.arch, out, dict(self.meta))
 
@@ -166,8 +175,9 @@ def cnn_shape_walk(in_channels: int, in_length: int) -> dict:
 
 
 def widest_row_bytes(params: ModelParams) -> int:
-    """Bytes per sample of the largest buffer a forward builds: the im2col
-    patches of the wider conv layer for the CNN, the widest layer for the MLP."""
+    """Bytes per sample of the largest buffer a forward builds, at the
+    parameters' dtype: the im2col patches of the wider conv layer for the
+    CNN, the widest layer for the MLP."""
     m = params.meta
     if params.arch == ARCH_CNN:
         walk = cnn_shape_walk(m["in_channels"], m["in_length"])
@@ -175,7 +185,7 @@ def widest_row_bytes(params: ModelParams) -> int:
                                   CONV_FILTERS[0] * walk["conv2"])
     else:
         width = max(m["in_dim"], *MLP_DENSE)
-    return 8 * width
+    return params.dtype.itemsize * width
 
 
 def layout(arch: str, meta: dict) -> tuple[list, list]:
@@ -208,9 +218,10 @@ def layout(arch: str, meta: dict) -> tuple[list, list]:
                     ("fc2.b", (d2,)), ("head.w", (d2, k)), ("head.b", (k,))], stats
 
 
-def _build(arch: str, meta: dict, seed: int) -> Model:
+def _build(arch: str, meta: dict, seed: int, dtype) -> Model:
     """Weights uniform in +-1/sqrt(fan in), drawn from one stream in layout
-    order; batch-norm scales and running variances start at 1, the rest at 0."""
+    order and rounded to ``dtype``; batch-norm scales and running variances
+    start at 1, the rest at 0."""
     param_layout, stat_layout = layout(arch, meta)
     rng = np.random.default_rng(seed)
 
@@ -218,26 +229,30 @@ def _build(arch: str, meta: dict, seed: int) -> Model:
         if name.endswith(".w"):
             # dense weights are (in, out); conv kernels (filters, channels, width)
             bound = 1.0 / np.sqrt(shape[0] if len(shape) == 2 else math.prod(shape[1:]))
-            return rng.uniform(-bound, bound, size=shape)
-        return np.ones(shape) if name.endswith((".gamma", "_var")) else np.zeros(shape)
+            return rng.uniform(-bound, bound, size=shape).astype(dtype, copy=False)
+        fill = np.ones if name.endswith((".gamma", "_var")) else np.zeros
+        return fill(shape, dtype=dtype)
 
     layers = [LayerParam(name, initial(name, shape)) for name, shape in param_layout]
     return Model(ModelParams(arch, layers, meta),
                  {name: initial(name, shape) for name, shape in stat_layout})
 
 
-def build_cnn_har(in_channels: int, in_length: int, num_classes: int, seed: int) -> Model:
+def build_cnn_har(in_channels: int, in_length: int, num_classes: int, seed: int,
+                  dtype=np.float64) -> Model:
     """Two conv blocks (conv -> batchnorm -> relu -> maxpool) into three
-    dense layers; the 128-wide dense output (post-relu) is the feature tap."""
+    dense layers; the 128-wide dense output (post-relu) is the feature tap.
+    ``dtype`` is the compute dtype: float32 or float64."""
     return _build(ARCH_CNN, {"in_channels": in_channels, "in_length": in_length,
-                             "num_classes": num_classes, "feature_dim": CNN_DENSE[1]}, seed)
+                             "num_classes": num_classes, "feature_dim": CNN_DENSE[1]},
+                  seed, dtype)
 
 
 def build_mlp(in_dim: int, num_classes: int, seed: int) -> Model:
     """Dense(64) -> relu -> Dense(32) -> Dense(C); the 32-wide affine output
     is the feature tap."""
     return _build(ARCH_MLP, {"in_dim": in_dim, "num_classes": num_classes,
-                             "feature_dim": MLP_DENSE[1]}, seed)
+                             "feature_dim": MLP_DENSE[1]}, seed, np.float64)
 
 
 # ---------------------------------------------------------------- forward
@@ -275,15 +290,17 @@ def _bn_forward(x, gamma, beta, mode, running_mean, running_var):
 def _maxpool2(x):
     # x is post-ReLU.  a >= b is argmax's rule: the first of a tie wins, so
     # a -0.0 and +0.0 pair gives the -0.0.  The pick is made on the values'
-    # bits, through masks of all ones (a wins) or zeros: np.where branches
-    # on each element and costs several times more
+    # bits, through masks of all ones (a wins) or zeros in the signed
+    # integer of the values' width: np.where branches on each element and
+    # costs several times more
+    bits = np.dtype(f"i{x.itemsize}")
     lp = x.shape[2] // POOL_WIDTH
     a, b = x[:, :, 0:lp * POOL_WIDTH:2], x[:, :, 1:lp * POOL_WIDTH:2]
-    keep = (a >= b).astype(np.int64)
+    keep = (a >= b).astype(bits)
     np.negative(keep, out=keep)
-    out = a.view(np.int64) & keep
-    out |= b.view(np.int64) & ~keep
-    out = out.view(np.float64)
+    out = a.view(bits) & keep
+    out |= b.view(bits) & ~keep
+    out = out.view(x.dtype)
     return out, (keep, out, x.shape[2])
 
 
@@ -293,12 +310,13 @@ def forward(model: Model, x: np.ndarray, mode: str) -> ForwardTrace:
     mode="train" normalizes with batch statistics and updates the model's
     running statistics in place; mode="eval" is a pure function of
     (params, x) that normalizes with the stored running statistics.
-    Checks the input's shape only: the loaders check its values at load.
+    Computes in the parameters' dtype, to which ``x`` is cast.  Checks the
+    input's shape only: the loaders check its values at load.
     """
     if mode not in (MODE_TRAIN, MODE_EVAL):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     params = model.params
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params.dtype)
     caches: dict = {}
 
     m = params.meta
@@ -360,7 +378,7 @@ def _conv1d_backward(dout, cols, w, input_grad=True):
         return None, dw, db
     # (b, c, k, lout): each tap's slice is contiguous
     dcols = (w.reshape(f, -1).T @ dout).reshape(b, c, k, lout)
-    dx = np.zeros((b, c, lout + k - 1))
+    dx = np.zeros((b, c, lout + k - 1), dtype=dcols.dtype)
     for kk in range(k):
         dx[:, :, kk:kk + lout] += dcols[:, :, kk]
     return dx, dw, db
@@ -395,9 +413,9 @@ def _maxpool2_backward(dout, cache):
     keep, pooled, l = cache
     b, f, lp = dout.shape
     keep = np.ascontiguousarray(keep)
-    bits = (dout * np.ascontiguousarray(pooled > 0)).view(np.int64)
-    dx = np.zeros((b, f, l))
-    dx_bits = dx.view(np.int64)
+    bits = (dout * np.ascontiguousarray(pooled > 0)).view(keep.dtype)
+    dx = np.zeros((b, f, l), dtype=dout.dtype)
+    dx_bits = dx.view(keep.dtype)
     np.bitwise_and(bits, keep, out=dx_bits[:, :, 0:lp * POOL_WIDTH:2])
     np.bitwise_and(bits, ~keep, out=dx_bits[:, :, 1:lp * POOL_WIDTH:2])
     return dx
@@ -409,18 +427,19 @@ def backward(params: ModelParams, trace: ForwardTrace, grad_logits: np.ndarray,
     the feature tap (B, H); returns gradients with the parameter structure.
 
     The feature gradient enters at the tap itself, downstream of the head,
-    so a features-only upstream leaves the head weights untouched.
+    so a features-only upstream leaves the head weights untouched.  Both
+    upstreams are cast to the parameters' dtype.
     """
     if trace.layer_shapes != tuple(l.values.shape for l in params.layers) \
             or trace.arch != params.arch:
         raise ValueError("trace does not belong to these parameters")
-    grad_logits = np.asarray(grad_logits, dtype=np.float64)
+    grad_logits = np.asarray(grad_logits, dtype=params.dtype)
     if grad_logits.shape != trace.logits.shape:
         raise ValueError(
             f"grad_logits shape {grad_logits.shape} != logits {trace.logits.shape}")
     if grad_features is None:
         grad_features = np.zeros_like(trace.features)
-    grad_features = np.asarray(grad_features, dtype=np.float64)
+    grad_features = np.asarray(grad_features, dtype=params.dtype)
     if grad_features.shape != trace.features.shape:
         raise ValueError(
             f"grad_features shape {grad_features.shape} != features {trace.features.shape}")
@@ -471,10 +490,15 @@ def _pack_record(kind: int, name: str, values: np.ndarray) -> bytes:
 def save_checkpoint(model: Model, path: str) -> None:
     """Serialize parameters and running statistics: versioned magic header,
     architecture tag, meta block, then length-prefixed little-endian float64
-    layer records."""
+    layer records.  A float32 model's records hold its values widened, which
+    is exact, and its meta block names the dtype; a float64 model's names
+    none, the default."""
     params = model.params
     arch_b = params.arch.encode("utf-8")
-    meta_b = json.dumps(params.meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    meta = params.meta
+    if params.dtype != np.float64:
+        meta = {**meta, CHECKPOINT_DTYPE_KEY: params.dtype.name}
+    meta_b = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     out = [CHECKPOINT_MAGIC, struct.pack("<H", len(arch_b)), arch_b,
            struct.pack("<I", len(meta_b)), meta_b,
            struct.pack("<I", len(params.layers) + len(model.bn))]
@@ -530,6 +554,7 @@ class ByteReader:
 
 
 def load_checkpoint(path: str) -> Model:
+    """The model ``save_checkpoint`` wrote, in the compute dtype it had."""
     with open(path, "rb") as fh:
         r = ByteReader(fh.read(), CheckpointError, "<B")
     magic = r.take(len(CHECKPOINT_MAGIC), "checkpoint magic")
@@ -542,13 +567,19 @@ def load_checkpoint(path: str) -> Model:
         meta = json.loads(r.take(meta_len, "meta block").decode("utf-8"))
     except ValueError as e:
         raise CheckpointError(f"unreadable meta block: {e}") from e
+    # a meta block that is not an object fails the structure check below
+    dtype = meta.pop(CHECKPOINT_DTYPE_KEY, "float64") if isinstance(meta, dict) else "float64"
+    if dtype not in COMPUTE_DTYPES:
+        raise CheckpointError(f"compute dtype {dtype!r} in the meta block is not one "
+                              f"of {COMPUTE_DTYPES}")
     (n_records,) = r.unpack("<I", "record count")
     layers, stats = [], []
     for i in range(n_records):
         kind, name_len = r.unpack("<BH", f"record {i} header")
         name = r.text(name_len, f"record {i} layer name")
         dims, count = r.shape(f"layer {name!r}")
-        values = r.array(count, np.dtype("<f8"), f"layer {name!r} values").reshape(dims)
+        values = _narrow(r.array(count, np.dtype("<f8"), f"layer {name!r} values"),
+                         dtype, name).reshape(dims)
         if kind == 0:
             layers.append(LayerParam(name, values))
         elif kind == 1:
@@ -563,6 +594,17 @@ def load_checkpoint(path: str) -> Model:
         raise CheckpointError(f"bad layer records: {e}") from e
     _validate_structure(params, stats)
     return Model(params, dict(stats))
+
+
+def _narrow(values: np.ndarray, dtype: str, name: str) -> np.ndarray:
+    """Float64 record values in the compute dtype; each must be a value of it."""
+    if dtype == "float64":
+        return values
+    with np.errstate(over="ignore"):
+        narrow = values.astype(dtype)
+    if not np.array_equal(narrow, values, equal_nan=True):
+        raise CheckpointError(f"layer {name!r} holds values that are not {dtype}")
+    return narrow
 
 
 def _validate_structure(params: ModelParams, stats: list) -> None:

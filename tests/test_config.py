@@ -16,7 +16,7 @@ from fedkdx.config import (ConfigError, DEFAULT_JOIN_SWEEP, config_from_dict,
                            load_config, sweep_points)
 from fedkdx.experiment import (CSV_COLUMNS, build_experiment, run_experiment,
                                version_string, write_partition_table)
-from fedkdx.federation import STRATEGIES, RoundError, run_round
+from fedkdx.federation import STRATEGIES, RoundError, evaluate, run_round
 from fedkdx.nn import build_cnn_har, load_checkpoint
 from helpers import SMALL_SYNTH, make_config, package_env, params_equal
 from test_acceptance import STUDY_RAW
@@ -305,6 +305,17 @@ def test_committed_configs_load_echo_and_expand():
         {**copy.deepcopy(STUDY_RAW), "sweep": {"axis": "strategy"}})
 
 
+def test_committed_configs_parse_alike_with_either_yaml_loader():
+    import yaml
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    paths = sorted((Path(__file__).parent.parent / "scripts" / "configs").glob("*.yaml"))
+    assert len(paths) == 5
+    for path in paths:
+        text = path.read_text()
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
 def test_load_config_file_failures(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config(str(tmp_path / "missing.yaml"))
@@ -370,6 +381,30 @@ def test_an_averaging_cnn_build_allocates_no_teachers(tmp_path):
     assert len(exp.clients) == 6
     # the student and the windows; six teachers would add six more CNNs
     assert peak < 2 * one_cnn, (peak, one_cnn)
+
+
+# 24 random windows leave some class out of the evaluation set
+@pytest.mark.filterwarnings("ignore:class .* has no positives")
+def test_a_cnn_run_computes_in_float32_and_its_checkpoint_rescores_bitwise(tmp_path):
+    write_fake_archive(str(tmp_path / "har"), rows=(16, 8))
+    cfg = make_config(dataset={"kind": "ucihar", "root": str(tmp_path / "har")},
+                      partition={"mode": "iid_shuffle", "num_clients": 3}, rounds=2)
+    exp = build_experiment(cfg)
+    assert exp.server.student.params.dtype == np.float32
+    assert exp.eval_x.dtype == np.float32
+    for st in exp.clients.values():
+        assert st.x_train.dtype == np.float32 and st.teacher.params.dtype == np.float32
+        assert {v.dtype for v in st.teacher.bn.values()} == {np.dtype(np.float32)}
+
+    out = tmp_path / "run"
+    run_experiment(cfg, str(out))
+    model = load_checkpoint(str(out / "student.ckpt"))
+    assert model.params.dtype == np.float32
+    assert {v.dtype for v in model.bn.values()} == {np.dtype(np.float32)}
+    with open(out / "metrics.csv", newline="") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    scores = evaluate(model, exp.eval_x, exp.eval_y)
+    assert scores == {k: float(last[k]) for k in scores}
 
 
 def test_synthetic_runs_use_the_dense_architecture():
@@ -539,6 +574,17 @@ def test_cli_runtime_error_exits_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error: DataError:")
+
+
+@pytest.mark.parametrize("command", ["run", "partition"])
+def test_cli_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    cfg_path = write_yaml(tmp_path, fast_raw())
+    out = tmp_path / "o"
+    code = main([command, "--config", cfg_path, "--out", str(out), "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: invalid configuration:\n  --seed: must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 def test_cli_seed_override_changes_the_run(tmp_path):

@@ -18,6 +18,8 @@ from fedkdx.data import (
     samples_to_xy,
 )
 from fedkdx.data import _largest_remainder, _simplex_means, _stratified_split
+from fedkdx.experiment import build_experiment
+from helpers import make_config
 
 
 # ---------------------------------------------------------------- synthetic
@@ -235,6 +237,38 @@ def test_load_ucihar_rejects_malformed_trees(tmp_path):
             fh.write(text)
         with pytest.raises(DataError, match=match):
             load_ucihar(root)
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39])
+def test_a_sensor_value_beyond_float32_is_refused_at_build(tmp_path, value):
+    root = write_fake_archive(str(tmp_path), rows=(16, 8))
+    path = os.path.join(root, "train", "Inertial Signals", "body_gyro_x_train.txt")
+    mat = np.loadtxt(path)
+    mat[5, 40] = value
+    np.savetxt(path, mat)
+    with open(os.path.join(root, "train", "subject_train.txt")) as fh:
+        subject = int(fh.read().split()[5])
+    # finite in float64, so the loader takes it; the CNN's float32 cast does not
+    assert len(load_ucihar(root)) == 24
+    cfg = make_config(dataset={"kind": "ucihar", "root": root},
+                      partition={"mode": "iid_shuffle", "num_clients": 3})
+    with pytest.raises(DataError, match=rf"client \d (train|test) shard: a window of subject "
+                                        rf"{subject} holds a value beyond the float32 range"):
+        build_experiment(cfg)
+
+
+def test_samples_to_xy_casts_once_and_checks_the_range():
+    samples = make_synthetic(3, 6, 4, 3.0, seed=0)
+    x64, y = samples_to_xy(samples)
+    x32, y32 = samples_to_xy(samples, np.float32)
+    assert x32.dtype == np.float32 and np.array_equal(x32, x64.astype(np.float32))
+    assert np.array_equal(y, y32)
+    samples[3] = Sample(np.full((1, 6), 3.5e38), 0, 7)
+    assert np.isfinite(samples_to_xy(samples)[0]).all()
+    with pytest.raises(DataError, match="probe: a window of subject 7 holds a value beyond"):
+        samples_to_xy(samples, np.float32, "probe")
+    with pytest.raises(DataError, match="probe is empty"):
+        samples_to_xy([], np.float32, "probe")
 
 
 def test_class_count_table_counts_train_and_test():

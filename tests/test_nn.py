@@ -189,6 +189,28 @@ def test_pooling_by_comparison_matches_argmax_bit_for_bit(length, channels_last)
         assert got_dx[:, :, -1].tobytes() == np.zeros((6, 5)).tobytes()
 
 
+@pytest.mark.parametrize("length", [10, 11], ids=["even", "odd"])
+@pytest.mark.parametrize("channels_last", [False, True], ids=["c_order", "channels_last"])
+def test_float32_pooling_by_int32_masks_matches_argmax_bit_for_bit(length, channels_last):
+    rng = np.random.default_rng(length)
+    h = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=(6, 5, length)).astype(np.float32)
+    if channels_last:
+        h = np.ascontiguousarray(h.transpose(0, 2, 1)).transpose(0, 2, 1)
+    want, oracle_cache = oracle_relu_pool(h)
+    got, cache = _maxpool2(h * (h > 0))
+    assert got.dtype == np.float32 and cache[0].dtype == np.int32
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(want).any() and (want == 0.0).sum() > np.signbit(want).sum()
+
+    dout = rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0], size=got.shape).astype(np.float32)
+    # the oracle scatters into float64 zeros; every value it moves is a float32
+    want_dx = oracle_relu_pool_backward(dout, oracle_cache).astype(np.float32)
+    got_dx = _maxpool2_backward(dout, cache)
+    assert got_dx.dtype == np.float32
+    assert got_dx.tobytes() == want_dx.tobytes()
+    assert np.signbit(want_dx).any()
+
+
 def test_forward_shapes_and_feature_tap():
     model = small_cnn()
     x = np.random.default_rng(0).normal(size=(4, 2, 28))
@@ -367,6 +389,48 @@ def test_blas_thread_count_does_not_change_cnn_kernels():
     assert len(evals[0]) == 1 and "[32, 32, 17]" in evals[0][0]
 
 
+# the same digests for a float32 model, whose evaluation chunks hold twice
+# the rows
+_CNN_F32_KERNEL_DIGESTS = _CNN_KERNEL_DIGESTS.replace(
+    "build_cnn_har(9, 128, 6, seed=0)", "build_cnn_har(9, 128, 6, seed=0, dtype=np.float32)")
+
+
+def test_blas_thread_count_does_not_change_float32_cnn_kernels():
+    assert _CNN_F32_KERNEL_DIGESTS.count("dtype=np.float32") == 2
+    outs = [subprocess.run([sys.executable, "-c", _CNN_F32_KERNEL_DIGESTS],
+                           env=package_env(OPENBLAS_NUM_THREADS=blas), check=True,
+                           timeout=300, capture_output=True, text=True).stdout.splitlines()
+            for blas in ("1", "2")]
+    assert outs[0] == outs[1]
+    assert len(outs[0]) == 4 * 2 * 15 + 1
+    assert outs[0][-1].startswith("evaluate [64, 64, 23]")
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_float32_gradients_agree_with_float64_at_har_shapes(mode):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(16, 9, 128))
+    wl, wf = rng.normal(size=(16, 6)), rng.normal(size=(16, 128))
+    out = {}
+    for dtype in (np.float32, np.float64):
+        model = build_cnn_har(9, 128, 6, seed=3, dtype=dtype)
+        tr = forward(model, x, mode)
+        grads = backward(model.params, tr, wl, wf)
+        assert tr.logits.dtype == dtype and tr.features.dtype == dtype
+        assert {l.values.dtype for l in grads.layers} == {np.dtype(dtype)}
+        assert {v.dtype for v in model.bn.values()} == {np.dtype(dtype)}
+        out[dtype] = tr.logits, grads, model.bn
+    (logits32, g32, bn32), (logits64, g64, bn64) = out[np.float32], out[np.float64]
+    assert np.abs(logits32 - logits64).max() <= 1e-5 * np.abs(logits64).max()
+    # about a hundred float32 roundings of the largest entry of the gradient;
+    # the conv biases' gradients in train mode are zero up to rounding
+    scale = np.abs(g64.flatten()).max()
+    for a, b in zip(g32.layers, g64.layers):
+        assert np.abs(a.values - b.values).max() <= 1e-5 * scale, a.name
+    for k in bn64:
+        assert np.abs(bn32[k] - bn64[k]).max() <= 1e-5 * np.abs(bn64[k]).max(), k
+
+
 def test_backward_rejects_mismatched_trace():
     model = build_mlp(6, 3, seed=0)
     other = build_mlp(7, 3, seed=0)
@@ -390,6 +454,20 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert sorted(loaded.bn) == sorted(model.bn)
     for k in model.bn:
         assert np.array_equal(loaded.bn[k], model.bn[k])
+
+
+def test_float32_checkpoint_reloads_in_float32_bitwise(tmp_path):
+    model = build_cnn_har(2, 28, 3, seed=6, dtype=np.float32)
+    forward(model, np.random.default_rng(0).normal(size=(8, 2, 28)), "train")
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    assert loaded.params.meta == model.params.meta  # the dtype entry is not meta
+    assert loaded.params.dtype == np.float32
+    assert params_equal(loaded.params, model.params)
+    for k in model.bn:
+        assert loaded.bn[k].dtype == np.float32
+        assert loaded.bn[k].tobytes() == model.bn[k].tobytes()
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
