@@ -1,8 +1,9 @@
 """Dataset handling: the UCI-HAR raw-inertial archive, synthetic blobs,
 and client partitioning.
 
-The archive ships pre-windowed 128-sample rows, so the loader consumes it
-directly.
+A dataset is one record array, a record per window, from load to shard;
+partitioning hands out indices into it.  The archive ships pre-windowed
+128-sample rows, so the loader consumes it directly.
 """
 
 from __future__ import annotations
@@ -30,16 +31,10 @@ class DataError(ValueError):
 
 
 @dataclass
-class Sample:
-    window: np.ndarray  # (channels, length)
-    label: int
-    subject: int
-
-
-@dataclass
 class ClientShard:
-    train: list[Sample]
-    test: list[Sample]
+    """A client's train and test windows, as indices into the dataset."""
+    train: np.ndarray
+    test: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -61,25 +56,33 @@ class PartitionSpec:
             raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
 
 
-def samples_to_xy(samples: list[Sample], dtype=np.float64,
+def empty_dataset(n: int, window_shape: tuple[int, ...]) -> np.recarray:
+    """``n`` unfilled records: a float64 ``window`` of ``window_shape``
+    (channels, length), and the int64 ``label`` and ``subject``."""
+    fields = [("window", np.float64, window_shape),
+              ("label", np.int64),
+              ("subject", np.int64)]
+    return np.recarray(n, dtype=fields)
+
+
+def samples_to_xy(samples: np.recarray, dtype=np.float64,
                   what: str = "shard") -> tuple[np.ndarray, np.ndarray]:
-    """Stack a shard into (N, channels, length) ``dtype`` and (N,) int64.
+    """A shard's records as (N, channels, length) ``dtype`` and (N,) int64.
 
     The windows are finite, as the loaders check; one that holds a value
     beyond ``dtype``'s range is refused, naming ``what`` and its subject,
     rather than reaching the network as an infinity.
     """
-    if not samples:
+    if len(samples) == 0:
         raise DataError(f"{what} is empty")
     with np.errstate(over="ignore"):
-        x = np.stack([s.window for s in samples]).astype(dtype, copy=False)
-    out_of_range = ~np.isfinite(x).reshape(len(samples), -1).all(axis=1)
+        x = np.ascontiguousarray(samples.window, dtype)
+    out_of_range = ~np.isfinite(x).reshape(len(x), -1).all(axis=1)
     if out_of_range.any():
-        subject = samples[int(out_of_range.argmax())].subject
+        subject = samples.subject[out_of_range.argmax()]
         raise DataError(f"{what}: a window of subject {subject} holds a value beyond "
                         f"the {x.dtype} range")
-    y = np.array([s.label for s in samples], dtype=np.int64)
-    return x, y
+    return x, np.ascontiguousarray(samples.label)
 
 
 # ------------------------------------------------------------------ loader
@@ -97,15 +100,17 @@ def _read_matrix(path: str) -> np.ndarray:
 
 
 def _read_ids(path: str) -> np.ndarray:
-    """A label or subject file: one integer per row."""
+    """A label or subject file: one int64 integer per row."""
     ids = _read_matrix(path).ravel()
     if not (ids == np.round(ids)).all():
         raise DataError(f"{path}: expected one integer per row")
-    return ids
+    if not ((-2.0 ** 63 <= ids) & (ids < 2.0 ** 63)).all():
+        raise DataError(f"{path}: an id lies beyond the 64-bit integer range")
+    return ids.astype(np.int64)
 
 
-def load_ucihar(root: str) -> list[Sample]:
-    """Read both archive splits into one pooled sample list.
+def load_ucihar(root: str) -> np.recarray:
+    """Read both archive splits into one record array, train rows first.
 
     Nine channel files per split, one 128-column row per window, aligned
     row-wise with the label and subject files.  Labels come 1-based on disk.
@@ -113,35 +118,35 @@ def load_ucihar(root: str) -> list[Sample]:
     nested = os.path.join(root, "UCI HAR Dataset")
     if not os.path.isdir(os.path.join(root, "train")) and os.path.isdir(nested):
         root = nested
-    samples: list[Sample] = []
+    ids = []
     for split in ("train", "test"):
-        base = os.path.join(root, split)
-        channels = []
-        for name in HAR_CHANNELS:
-            path = os.path.join(base, "Inertial Signals", f"{name}_{split}.txt")
-            mat = _read_matrix(path)
-            if mat.shape[1] != 128:
-                raise DataError(f"{path}: expected 128 columns, got {mat.shape[1]}")
-            channels.append(mat)
-        rows = channels[0].shape[0]
-        for name, mat in zip(HAR_CHANNELS, channels):
-            if mat.shape[0] != rows:
-                raise DataError(
-                    f"row-count mismatch in {split}: {name} has {mat.shape[0]} rows, "
-                    f"{HAR_CHANNELS[0]} has {rows}")
-        label_path = os.path.join(base, f"y_{split}.txt")
+        label_path = os.path.join(root, split, f"y_{split}.txt")
         labels = _read_ids(label_path)
         if labels.min(initial=1) < 1:
-            raise DataError(f"{label_path}: labels count from 1, found {labels.min():g}")
-        subjects = _read_ids(os.path.join(base, f"subject_{split}.txt"))
-        if labels.shape[0] != rows or subjects.shape[0] != rows:
-            raise DataError(
-                f"row-count mismatch in {split}: {rows} windows vs "
-                f"{labels.shape[0]} labels, {subjects.shape[0]} subjects")
-        windows = np.stack(channels, axis=1)  # (rows, 9, 128)
-        for i in range(rows):
-            samples.append(Sample(windows[i], int(labels[i]) - 1, int(subjects[i])))
-    return samples
+            raise DataError(f"{label_path}: labels count from 1, found {labels.min()}")
+        subjects = _read_ids(os.path.join(root, split, f"subject_{split}.txt"))
+        if subjects.size != labels.size:
+            raise DataError(f"row-count mismatch in {split}: "
+                            f"{labels.size} labels, {subjects.size} subjects")
+        ids.append((split, labels - 1, subjects))
+    total = sum(labels.size for _, labels, _ in ids)
+    records = empty_dataset(total, (len(HAR_CHANNELS), 128))
+    # each channel file is copied into place as it is read: no stacked copy
+    start = 0
+    for split, labels, subjects in ids:
+        rows = slice(start, start + labels.size)
+        start = rows.stop
+        records.label[rows] = labels
+        records.subject[rows] = subjects
+        signals = os.path.join(root, split, "Inertial Signals")
+        for ch, name in enumerate(HAR_CHANNELS):
+            path = os.path.join(signals, f"{name}_{split}.txt")
+            mat = _read_matrix(path)
+            if mat.shape != (labels.size, 128):
+                raise DataError(f"{path}: expected {labels.size} rows of 128 columns, "
+                                f"got {mat.shape[0]} of {mat.shape[1]}")
+            records.window[rows, ch] = mat
+    return records
 
 
 # ------------------------------------------------------------- synthetic
@@ -165,8 +170,9 @@ def _simplex_means(num_classes: int, dims: int, separation: float) -> np.ndarray
 
 
 def make_synthetic(num_classes: int, dims: int, samples_per_class: int,
-                   separation: float, seed: int) -> list[Sample]:
-    """Unit-variance Gaussian blobs with class means on a regular simplex.
+                   separation: float, seed: int) -> np.recarray:
+    """Unit-variance Gaussian blobs with class means on a regular simplex,
+    as a record array in class order.
 
     Windows come out as (1, dims) rows for the dense-network path; the
     subject id is the class index.  separation=0 degenerates to
@@ -179,13 +185,13 @@ def make_synthetic(num_classes: int, dims: int, samples_per_class: int,
     if separation < 0:
         raise DataError(f"separation must be >= 0, got {separation}")
     means = _simplex_means(num_classes, dims, separation)
-    rng = np.random.default_rng(seed)
-    samples = []
-    for c in range(num_classes):
-        pts = means[c] + rng.standard_normal((samples_per_class, dims))
-        for i in range(samples_per_class):
-            samples.append(Sample(pts[i].reshape(1, dims), c, c))
-    return samples
+    records = empty_dataset(num_classes * samples_per_class, (1, dims))
+    records.label = np.repeat(np.arange(num_classes), samples_per_class)
+    records.subject = records.label
+    # one draw of every class's points, in class order
+    noise = np.random.default_rng(seed).standard_normal((len(records), dims))
+    records.window[:, 0] = means[records.label] + noise
+    return records
 
 
 # ------------------------------------------------------------ partitioning
@@ -216,74 +222,64 @@ def _dirichlet_counts(class_sizes: np.ndarray, alpha: float, k: int,
         f"{DIRICHLET_MAX_RETRIES} redraws (alpha={alpha}, clients={k})")
 
 
-def _stratified_split(shard: list[Sample], train_fraction: float,
+def _stratified_split(idx: np.ndarray, labels: np.ndarray, train_fraction: float,
                       rng: np.random.Generator) -> ClientShard:
-    """Per-class largest-remainder split hitting round(f*N) exactly."""
-    n = len(shard)
-    labels = np.array([s.label for s in shard])
-    classes = np.unique(labels)
-    want_train = int(round(train_fraction * n))
-    quotas = np.array([train_fraction * (labels == c).sum() for c in classes])
-    take = _largest_remainder(quotas, want_train)
-    train: list[Sample] = []
-    test: list[Sample] = []
+    """Per-class largest-remainder split of the indices ``idx`` hitting
+    round(f*N) exactly."""
+    shard_labels = labels[idx]
+    classes, sizes = np.unique(shard_labels, return_counts=True)
+    want_train = int(round(train_fraction * idx.size))
+    take = _largest_remainder(train_fraction * sizes, want_train)
+    train, test = [], []
     for c, t in zip(classes, take):
-        idx = np.nonzero(labels == c)[0]
-        idx = idx[rng.permutation(idx.size)]
-        train.extend(shard[i] for i in idx[:t])
-        test.extend(shard[i] for i in idx[t:])
-    return ClientShard(train, test)
+        members = idx[shard_labels == c]
+        members = members[rng.permutation(members.size)]
+        train.append(members[:t])
+        test.append(members[t:])
+    return ClientShard(np.concatenate(train), np.concatenate(test))
 
 
-def partition(samples: list[Sample], spec: PartitionSpec,
+def partition(samples: np.recarray, spec: PartitionSpec,
               rng: np.random.Generator) -> list[ClientShard]:
-    """Distribute samples over clients per the spec mode, then split each
-    client train/test stratified by class."""
-    if not samples:
+    """Distribute the record array's windows over clients per the spec
+    mode, then split each client train/test stratified by class.  Reads
+    the label and subject columns; the shards hold indices into them."""
+    n = len(samples)
+    if n == 0:
         raise DataError("cannot partition an empty dataset")
     k = spec.num_clients
+    labels = samples.label
     if spec.mode == MODE_BY_SUBJECT:
-        subjects = sorted({s.subject for s in samples})
-        if len(subjects) < k:
+        subjects, rank = np.unique(samples.subject, return_inverse=True)
+        if subjects.size < k:
             raise DataError(
-                f"by_subject needs >= {k} distinct subjects, found {len(subjects)}")
-        client_of = {s: i % k for i, s in enumerate(subjects)}
-        shards = [[] for _ in range(k)]
-        for s in samples:
-            shards[client_of[s.subject]].append(s)
+                f"by_subject needs >= {k} distinct subjects, found {subjects.size}")
+        # round-robin over the sorted subjects, windows in dataset order
+        owner = rank % k
+        shards = [np.flatnonzero(owner == client) for client in range(k)]
+    elif n < k:
+        raise DataError(f"{n} samples cannot cover {k} clients")
     elif spec.mode == MODE_IID:
-        if len(samples) < k:
-            raise DataError(f"{len(samples)} samples cannot cover {k} clients")
-        perm = rng.permutation(len(samples))
-        sizes = np.full(k, len(samples) // k, dtype=np.int64)
-        sizes[:len(samples) % k] += 1
-        shards, pos = [], 0
-        for sz in sizes:
-            shards.append([samples[i] for i in perm[pos:pos + sz]])
-            pos += sz
+        shards = np.array_split(rng.permutation(n), k)
     else:  # dirichlet
-        if len(samples) < k:
-            raise DataError(f"{len(samples)} samples cannot cover {k} clients")
-        labels = np.array([s.label for s in samples])
-        classes = np.unique(labels)
-        class_sizes = np.array([(labels == c).sum() for c in classes])
+        classes, class_sizes = np.unique(labels, return_counts=True)
         counts = _dirichlet_counts(class_sizes, spec.alpha, k, rng)
-        shards = [[] for _ in range(k)]
+        pieces = [[] for _ in range(k)]
         for ci, c in enumerate(classes):
-            idx = np.nonzero(labels == c)[0]
+            idx = np.flatnonzero(labels == c)
             idx = idx[rng.permutation(idx.size)]
-            pos = 0
-            for client in range(k):
-                take = counts[ci, client]
-                shards[client].extend(samples[i] for i in idx[pos:pos + take])
-                pos += take
-    return [_stratified_split(shard, spec.train_fraction, rng) for shard in shards]
+            ends = np.cumsum(counts[ci])[:-1]
+            for client, piece in enumerate(np.split(idx, ends)):
+                pieces[client].append(piece)
+        shards = [np.concatenate(p) for p in pieces]
+    return [_stratified_split(idx, labels, spec.train_fraction, rng) for idx in shards]
 
 
-def class_count_table(shards: list[ClientShard], num_classes: int) -> np.ndarray:
+def class_count_table(labels: np.ndarray, shards: list[ClientShard],
+                      num_classes: int) -> np.ndarray:
     """(num_clients, num_classes) combined train+test counts per client."""
     table = np.zeros((len(shards), num_classes), dtype=np.int64)
     for i, shard in enumerate(shards):
-        for s in shard.train + shard.test:
-            table[i, s.label] += 1
+        owned = np.concatenate((shard.train, shard.test))
+        table[i] = np.bincount(labels[owned], minlength=num_classes)
     return table

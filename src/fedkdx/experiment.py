@@ -33,7 +33,7 @@ class Experiment:
     num_classes: int
 
 
-def _load_samples(cfg: RunConfig) -> list[data.Sample]:
+def _load_samples(cfg: RunConfig) -> np.recarray:
     ds = cfg.dataset
     if ds.kind == "synthetic":
         return data.make_synthetic(ds.num_classes, ds.dims, ds.samples_per_class,
@@ -43,12 +43,12 @@ def _load_samples(cfg: RunConfig) -> list[data.Sample]:
 
 
 def _derive_shards(cfg: RunConfig
-                   ) -> tuple[list[data.Sample], list[data.ClientShard], int]:
-    """The run's samples, its client shards and its class count."""
+                   ) -> tuple[np.recarray, list[data.ClientShard], int]:
+    """The run's record array, its client shards and its class count."""
     samples = _load_samples(cfg)
     shards = data.partition(samples, cfg.partition,
                             fed.derive_rng(cfg.seed, fed.STREAM_PARTITION))
-    return samples, shards, max(s.label for s in samples) + 1
+    return samples, shards, int(samples.label.max()) + 1
 
 
 def build_experiment(cfg: RunConfig) -> Experiment:
@@ -60,7 +60,7 @@ def build_experiment(cfg: RunConfig) -> Experiment:
     """
     samples, shards, num_classes = _derive_shards(cfg)
 
-    channels, length = samples[0].window.shape
+    channels, length = samples.window.shape[1:]
     synthetic = cfg.dataset.kind == "synthetic"
     dtype = np.float64 if synthetic else np.float32
 
@@ -77,7 +77,7 @@ def build_experiment(cfg: RunConfig) -> Experiment:
     clients: dict[int, fed.ClientState] = {}
     eval_x, eval_y = [], []
     for cid, shard in enumerate(shards):
-        x, y = data.samples_to_xy(shard.train, dtype, f"client {cid} train shard")
+        x, y = data.samples_to_xy(samples[shard.train], dtype, f"client {cid} train shard")
         clients[cid] = fed.ClientState(
             client_id=cid,
             teacher=make_model(fed.STREAM_TEACHER_INIT, cid) if distilling else None,
@@ -86,8 +86,8 @@ def build_experiment(cfg: RunConfig) -> Experiment:
             rng=fed.derive_rng(cfg.seed, fed.STREAM_CLIENT, cid),
             teacher_lr=cfg.lr_teacher, student_lr=cfg.lr_student,
             batch_size=cfg.batch_size)
-        if shard.test:
-            tx, ty = data.samples_to_xy(shard.test, dtype, f"client {cid} test shard")
+        if shard.test.size:
+            tx, ty = data.samples_to_xy(samples[shard.test], dtype, f"client {cid} test shard")
             eval_x.append(tx)
             eval_y.append(ty)
     if not eval_x:
@@ -205,8 +205,8 @@ def run_experiment(cfg: RunConfig, out_dir: str, threads: int = 1) -> dict:
 def write_partition_table(cfg: RunConfig, out_dir: str) -> str:
     """Per-client class-count CSV for distribution inspection."""
     os.makedirs(out_dir, exist_ok=True)
-    _, shards, num_classes = _derive_shards(cfg)
-    table = data.class_count_table(shards, num_classes)
+    samples, shards, num_classes = _derive_shards(cfg)
+    table = data.class_count_table(samples.label, shards, num_classes)
     path = os.path.join(out_dir, "partition.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

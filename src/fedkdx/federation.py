@@ -193,9 +193,9 @@ def client_local_step_fedavg(state: ClientState, prox_mu: float,
                 for g, w, w0 in zip(grad.layers, local.params.layers, start.layers):
                     g.values += prox_mu * (w.values - w0.values)
             params_iadd_scaled(local.params, grad, -state.student_lr)
-    delta = local.params.copy()
-    params_iadd_scaled(delta, start, -1.0)
-    return delta
+    # the private copy becomes the delta
+    params_iadd_scaled(local.params, start, -1.0)
+    return local.params
 
 
 def _pack(update: ModelParams, server: ServerState, eps: float):

@@ -6,6 +6,7 @@ import numpy as np
 
 import fedkdx
 from fedkdx.config import config_from_dict
+from fedkdx.data import HAR_CHANNELS
 from fedkdx.experiment import build_experiment
 
 # small enough to keep every federated test under a second per round
@@ -35,6 +36,29 @@ def make_config(**overrides):
     }
     raw.update(overrides)
     return config_from_dict(raw)
+
+
+def write_fake_archive(root, nested=False, rows=(3, 2), cols=128,
+                       break_channel=None, drop_file=None):
+    """A seeded recorded-sensor tree under ``root``: random sensor rows,
+    labels 1-6 and subjects 1-30; ``break_channel`` gets one column too few
+    and the file whose path holds ``drop_file`` is left out."""
+    rng = np.random.default_rng(0)
+    base = os.path.join(root, "UCI HAR Dataset") if nested else root
+    for split, n in zip(("train", "test"), rows):
+        sig_dir = os.path.join(base, split, "Inertial Signals")
+        os.makedirs(sig_dir, exist_ok=True)
+        for name in HAR_CHANNELS:
+            path = os.path.join(sig_dir, f"{name}_{split}.txt")
+            if drop_file and drop_file in path:
+                continue
+            c = cols - 1 if break_channel == name else cols
+            np.savetxt(path, rng.normal(size=(n, c)))
+        np.savetxt(os.path.join(base, split, f"y_{split}.txt"),
+                   rng.integers(1, 7, size=(n, 1)), fmt="%d")
+        np.savetxt(os.path.join(base, split, f"subject_{split}.txt"),
+                   rng.integers(1, 31, size=(n, 1)), fmt="%d")
+    return base
 
 
 def make_experiment(**overrides):

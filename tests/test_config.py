@@ -18,9 +18,9 @@ from fedkdx.experiment import (CSV_COLUMNS, build_experiment, run_experiment,
                                version_string, write_partition_table)
 from fedkdx.federation import STRATEGIES, RoundError, evaluate, run_round
 from fedkdx.nn import build_cnn_har, load_checkpoint
-from helpers import SMALL_SYNTH, make_config, package_env, params_equal
+from helpers import (SMALL_SYNTH, make_config, package_env, params_equal,
+                     write_fake_archive)
 from test_acceptance import STUDY_RAW
-from test_data import write_fake_archive
 
 
 MINIMAL = {"dataset": {"kind": "synthetic"}}

@@ -10,8 +10,8 @@ from fedkdx.data import (
     MODE_IID,
     DataError,
     PartitionSpec,
-    Sample,
     class_count_table,
+    empty_dataset,
     load_ucihar,
     make_synthetic,
     partition,
@@ -19,7 +19,7 @@ from fedkdx.data import (
 )
 from fedkdx.data import _largest_remainder, _simplex_means, _stratified_split
 from fedkdx.experiment import build_experiment
-from helpers import make_config
+from helpers import make_config, write_fake_archive
 
 
 # ---------------------------------------------------------------- synthetic
@@ -71,21 +71,30 @@ def test_make_synthetic_is_seed_deterministic():
     c, _ = samples_to_xy(make_synthetic(3, 6, 20, 3.0, seed=8))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    # one draw for all classes equals a draw per class, class by class
+    rng = np.random.default_rng(7)
+    means = _simplex_means(3, 6, 3.0)
+    per_class = [means[k] + rng.standard_normal((20, 6)) for k in range(3)]
+    assert np.array_equal(a[:, 0], np.concatenate(per_class))
 
 
 # ------------------------------------------------------------- partitioning
 
-def windowless(label, subject):
-    return Sample(np.zeros((1, 2)), label, subject)
-
-
-def labeled_pool(counts, subjects=None):
-    pool = []
-    for c, n in enumerate(counts):
-        for i in range(n):
-            subj = subjects[c] if subjects else i % 5
-            pool.append(windowless(c, subj))
+def windowless(labels, subjects):
+    pool = empty_dataset(len(labels), (1, 2))
+    pool.window, pool.label, pool.subject = 0.0, labels, subjects
     return pool
+
+
+def labeled_pool(counts):
+    """Class c holds counts[c] windows, class by class; subjects cycle 0-4
+    within each class."""
+    return windowless(np.repeat(np.arange(len(counts)), counts),
+                      np.concatenate([np.arange(n) % 5 for n in counts]))
+
+
+def members(shard):
+    return np.concatenate((shard.train, shard.test))
 
 
 def test_largest_remainder_pinned_ties():
@@ -96,25 +105,23 @@ def test_largest_remainder_pinned_ties():
 
 def test_stratified_split_hits_rounded_fraction():
     rng = np.random.default_rng(3)
-    shard = labeled_pool([10, 5])
-    out = _stratified_split(shard, 0.8, rng)
+    pool = labeled_pool([10, 5])
+    out = _stratified_split(np.arange(15), pool.label, 0.8, rng)
     assert len(out.train) == 12 and len(out.test) == 3
-    train_labels = [s.label for s in out.train]
-    assert train_labels.count(0) == 8 and train_labels.count(1) == 4
-    assert {id(s) for s in out.train}.isdisjoint({id(s) for s in out.test})
+    assert np.bincount(pool.label[out.train]).tolist() == [8, 4]
+    assert sorted(members(out)) == list(range(15))
 
 
 def test_by_subject_round_robin_over_sorted_subjects():
-    pool = [windowless(0, 5), windowless(1, 2), windowless(2, 9),
-            windowless(0, 2), windowless(1, 9)]
+    pool = windowless([0, 1, 2, 0, 1], [5, 2, 9, 2, 9])
     spec = PartitionSpec(mode=MODE_BY_SUBJECT, num_clients=2, train_fraction=0.5)
     shards = partition(pool, spec, np.random.default_rng(0))
-    subj = [sorted({s.subject for s in sh.train + sh.test}) for sh in shards]
+    subj = [sorted(set(pool.subject[members(sh)].tolist())) for sh in shards]
     assert subj == [[2, 9], [5]]
 
 
 def test_by_subject_requires_enough_subjects():
-    pool = [windowless(0, 1), windowless(1, 1)]
+    pool = windowless([0, 1], [1, 1])
     with pytest.raises(DataError, match="subject"):
         partition(pool, PartitionSpec(mode=MODE_BY_SUBJECT, num_clients=2),
                   np.random.default_rng(0))
@@ -124,10 +131,10 @@ def test_iid_shuffle_sizes_and_coverage():
     pool = labeled_pool([5, 5])
     spec = PartitionSpec(mode=MODE_IID, num_clients=3, train_fraction=0.5)
     shards = partition(pool, spec, np.random.default_rng(1))
-    sizes = [len(sh.train) + len(sh.test) for sh in shards]
+    sizes = [len(members(sh)) for sh in shards]
     assert sizes == [4, 3, 3]  # remainder goes to the first clients
-    seen = [id(s) for sh in shards for s in sh.train + sh.test]
-    assert sorted(seen) == sorted(id(s) for s in pool)
+    seen = np.concatenate([members(sh) for sh in shards])
+    assert sorted(seen) == list(range(len(pool)))
 
 
 def test_dirichlet_covers_everyone_and_skews():
@@ -135,7 +142,7 @@ def test_dirichlet_covers_everyone_and_skews():
     spec = PartitionSpec(mode=MODE_DIRICHLET, num_clients=6, alpha=0.1,
                          train_fraction=0.8)
     shards = partition(pool, spec, np.random.default_rng(2))
-    table = class_count_table(shards, 3)
+    table = class_count_table(pool.label, shards, 3)
     assert table.sum() == 360
     assert table.sum(axis=1).min() > 0  # the retry loop forbids empty clients
     # alpha 0.1 should starve at least one client of at least one class
@@ -143,16 +150,44 @@ def test_dirichlet_covers_everyone_and_skews():
     # and a concentrated alpha should even things out
     flat_spec = PartitionSpec(mode=MODE_DIRICHLET, num_clients=6, alpha=1e6,
                               train_fraction=0.8)
-    flat = class_count_table(partition(pool, flat_spec, np.random.default_rng(2)), 3)
+    flat = class_count_table(pool.label,
+                             partition(pool, flat_spec, np.random.default_rng(2)), 3)
     assert np.abs(flat - 20).max() <= 2
 
 
 def test_dirichlet_is_seed_deterministic():
     pool = labeled_pool([60, 60])
     spec = PartitionSpec(mode=MODE_DIRICHLET, num_clients=4, alpha=0.5)
-    a = class_count_table(partition(pool, spec, np.random.default_rng(9)), 2)
-    b = class_count_table(partition(pool, spec, np.random.default_rng(9)), 2)
-    assert np.array_equal(a, b)
+    a = partition(pool, spec, np.random.default_rng(9))
+    b = partition(pool, spec, np.random.default_rng(9))
+    assert all(np.array_equal(sa.train, sb.train) and np.array_equal(sa.test, sb.test)
+               for sa, sb in zip(a, b))
+
+
+# pool index order of every client's train and test windows on the pool
+# below (26 windows, 3 labels, 6 subjects), seed 11, 3 clients, 0.7 train;
+# recorded from the earlier implementation that moved one object per window
+PINNED_PARTITIONS = {
+    MODE_BY_SUBJECT: [([15, 18, 3, 24, 9, 12], [6, 21, 0]),
+                      ([7, 22, 19, 1, 4, 25], [16, 10, 13]),
+                      ([14, 8, 23, 5, 17, 11], [20, 2])],
+    MODE_IID: [([0, 18, 15, 8, 22, 1], [9, 2, 4]),
+               ([6, 3, 5, 23, 20, 25], [21, 11, 17]),
+               ([24, 14, 10, 16, 19, 13], [12, 7])],
+    MODE_DIRICHLET: [([3, 15, 20, 2, 11, 23, 5], [12, 17, 14]),
+                     ([6, 24, 18, 9, 7, 1], [0, 19]),
+                     ([21, 8, 10, 13, 4, 22], [16, 25])],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_PARTITIONS))
+def test_partition_order_is_pinned(mode):
+    i = np.arange(26)
+    pool = windowless((i * 5) % 3, (i * 7) % 6 + 10)
+    spec = PartitionSpec(mode=mode, num_clients=3, train_fraction=0.7,
+                         alpha=0.5 if mode == MODE_DIRICHLET else None)
+    shards = partition(pool, spec, np.random.default_rng(11))
+    assert [(sh.train.tolist(), sh.test.tolist()) for sh in shards] == PINNED_PARTITIONS[mode]
 
 
 def test_partition_spec_validation():
@@ -171,26 +206,6 @@ def test_partition_spec_validation():
 
 # ------------------------------------------------------------------ loading
 
-def write_fake_archive(root, nested=False, rows=(3, 2), cols=128,
-                       break_channel=None, drop_file=None):
-    rng = np.random.default_rng(0)
-    base = os.path.join(root, "UCI HAR Dataset") if nested else root
-    for split, n in zip(("train", "test"), rows):
-        sig_dir = os.path.join(base, split, "Inertial Signals")
-        os.makedirs(sig_dir, exist_ok=True)
-        for name in HAR_CHANNELS:
-            path = os.path.join(sig_dir, f"{name}_{split}.txt")
-            if drop_file and drop_file in path:
-                continue
-            c = cols - 1 if break_channel == name else cols
-            np.savetxt(path, rng.normal(size=(n, c)))
-        np.savetxt(os.path.join(base, split, f"y_{split}.txt"),
-                   rng.integers(1, 7, size=(n, 1)), fmt="%d")
-        np.savetxt(os.path.join(base, split, f"subject_{split}.txt"),
-                   rng.integers(1, 31, size=(n, 1)), fmt="%d")
-    return base
-
-
 def test_load_ucihar_pools_both_splits(tmp_path):
     write_fake_archive(str(tmp_path))
     samples = load_ucihar(str(tmp_path))
@@ -199,6 +214,31 @@ def test_load_ucihar_pools_both_splits(tmp_path):
         assert s.window.shape == (9, 128)
         assert 0 <= s.label <= 5          # disk labels are 1-based
         assert 1 <= s.subject <= 30
+
+
+def test_loaded_records_answer_the_recorded_sensor_gates_questions(tmp_path):
+    # test_10 reads the loader's output by iterating it as records; its
+    # first two asserts, on a tree whose ids are known
+    root = write_fake_archive(str(tmp_path), rows=(16, 8))
+    samples = load_ucihar(root)
+    assert {s.label for s in samples} == set(range(6))
+    disk = {name: np.concatenate([np.loadtxt(os.path.join(root, split, f"{name}_{split}.txt"))
+                                  for split in ("train", "test")])
+            for name in ("y", "subject")}
+    assert len({s.subject for s in samples}) == len(set(disk["subject"])) > 1
+    assert [s.label + 1 for s in samples] == disk["y"].tolist()
+    assert [s.subject for s in samples] == disk["subject"].tolist()
+    first = np.stack([np.loadtxt(os.path.join(root, "train", "Inertial Signals",
+                                              f"{name}_train.txt"))[0] for name in HAR_CHANNELS])
+    assert np.array_equal(samples[0].window, first)
+    assert samples.dtype.fields["label"][0] == samples.dtype.fields["subject"][0] == np.int64
+
+
+def test_synthetic_records_iterate_like_loaded_ones():
+    samples = make_synthetic(3, 4, 5, 2.0, seed=0)
+    assert samples.dtype.names == ("window", "label", "subject")
+    assert [s.label for s in samples] == [s.subject for s in samples] == [0] * 5 + [1] * 5 + [2] * 5
+    assert all(s.window.shape == (1, 4) and s.window.dtype == np.float64 for s in samples)
 
 
 def test_load_ucihar_descends_into_the_archive_directory(tmp_path):
@@ -263,19 +303,23 @@ def test_samples_to_xy_casts_once_and_checks_the_range():
     x32, y32 = samples_to_xy(samples, np.float32)
     assert x32.dtype == np.float32 and np.array_equal(x32, x64.astype(np.float32))
     assert np.array_equal(y, y32)
-    samples[3] = Sample(np.full((1, 6), 3.5e38), 0, 7)
+    samples.window[3] = 3.5e38
+    samples.subject[3] = 7
     assert np.isfinite(samples_to_xy(samples)[0]).all()
     with pytest.raises(DataError, match="probe: a window of subject 7 holds a value beyond"):
         samples_to_xy(samples, np.float32, "probe")
     with pytest.raises(DataError, match="probe is empty"):
-        samples_to_xy([], np.float32, "probe")
+        samples_to_xy(samples[:0], np.float32, "probe")
 
 
 def test_class_count_table_counts_train_and_test():
-    shards = partition(labeled_pool([10, 6]),
-                       PartitionSpec(mode=MODE_IID, num_clients=2,
-                                     train_fraction=0.5),
+    pool = labeled_pool([10, 6])
+    shards = partition(pool, PartitionSpec(mode=MODE_IID, num_clients=2,
+                                           train_fraction=0.5),
                        np.random.default_rng(0))
-    table = class_count_table(shards, 2)
+    table = class_count_table(pool.label, shards, 2)
     assert table.shape == (2, 2)
     assert table.sum() == 16
+    for row, sh in zip(table, shards):
+        labels = pool.label[members(sh)].tolist()
+        assert row.tolist() == [labels.count(0), labels.count(1)]

@@ -1,8 +1,10 @@
 """Mutation fuzzing of the two byte formats read from outside a run: uplink
 packets and checkpoints.  Every mutant of a valid input either decodes or
-raises the format's own error, never anything else."""
+raises the format's own error, never anything else.  Label and subject
+files whose ids do not fit int64 are refused with the loader's own error."""
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -12,8 +14,10 @@ from hypothesis import strategies as st
 
 from fedkdx.compression import (MODE_RAW, CodecError, CompressionPolicy,
                                 compress_gradient, decode_packet, encode_packet)
+from fedkdx.data import DataError, load_ucihar
 from fedkdx.nn import (CheckpointError, LayerParam, ModelParams, build_cnn_har,
                        build_mlp, load_checkpoint, save_checkpoint)
+from helpers import write_fake_archive
 
 # words that make a length, count or dim field huge, mid-sized or empty
 HOSTILE_WORDS = (b"\xff\xff\xff\xff", struct.pack("<I", 0x00010000), b"\x00" * 4)
@@ -124,3 +128,18 @@ def test_float32_records_must_hold_float32_values(tmp_path):
     path.write_bytes(_with_meta(path.read_bytes(), dtype="float32"))
     with pytest.raises(CheckpointError, match="'fc1.w' holds values that are not float32"):
         load_checkpoint(str(path))
+
+
+# integral, so they pass the integer check, but an int64 cast would wrap them
+@pytest.mark.parametrize("fname, text", [
+    ("train/y_train.txt", "1\n1e20\n2\n"),
+    ("test/subject_test.txt", "3\n-1e19\n"),
+    ("train/subject_train.txt", "1\n2\n9223372036854775808\n"),
+])
+def test_ids_beyond_int64_are_refused_at_load(tmp_path, fname, text):
+    root = write_fake_archive(str(tmp_path))
+    with open(os.path.join(root, fname), "w") as fh:
+        fh.write(text)
+    with pytest.raises(DataError, match=os.path.basename(fname)
+                       + ": an id lies beyond the 64-bit integer range"):
+        load_ucihar(root)
