@@ -4,6 +4,9 @@
     fedkdx partition --config cfg.yaml --out results/ [--seed N]
     fedkdx sweep     --config cfg.yaml --out results/ [--seed N [N ...]] [--threads N]
 
+``sweep`` runs each point of the config's ``sweep:`` list at each seed into
+``<label>_seed<k>/``, adding a row to ``sweep.csv`` as each run finishes.
+
 Exit codes: 0 success, 1 runtime failure (with round context), 2 config
 validation failure.
 """
@@ -25,7 +28,7 @@ EXIT_CONFIG = 2
 
 
 def _add_common(p: argparse.ArgumentParser, threads: bool = True,
-                seed_nargs: str | None = None) -> None:
+                seed_nargs: int | str = 1) -> None:
     p.add_argument("--config", required=True, help="YAML config file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, nargs=seed_nargs, default=None,
@@ -42,18 +45,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub.add_parser("run", help="execute one configured experiment"))
     _add_common(sub.add_parser("partition", help="write the per-client class table"),
                 threads=False)
-    _add_common(sub.add_parser("sweep", help="run the sweep axis from the config"),
+    _add_common(sub.add_parser("sweep", help="run each point of the config's sweep list"),
                 seed_nargs="+")
     return parser
 
 
+def _at_seeds(cfg: RunConfig, seeds: list[int] | None) -> list[RunConfig]:
+    """``cfg`` at each of ``seeds``, or at its own seed when none is given."""
+    if seeds is None:
+        return [cfg]
+    problems = [f"--seed: must be >= 0, got {s}" for s in seeds if s < 0]
+    problems += [f"--seed: {s} given twice" for i, s in enumerate(seeds) if s in seeds[:i]]
+    if problems:
+        raise ConfigError(problems)
+    return [dataclasses.replace(cfg, seed=s) for s in seeds]
+
+
 def _load(args) -> RunConfig:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError([f"--seed: must be >= 0, got {args.seed}"])
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg
+    return _at_seeds(load_config(args.config), args.seed)[0]
 
 
 def _resolve_threads(n: int) -> int:
@@ -80,22 +89,25 @@ def cmd_partition(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    axis, points = sweep_points(load_config(args.config), args.seed)
-    columns = ("seed", "accuracy", "f1_macro", "recall_macro", "auc_macro",
+    # every run is built, and so checked, before the first one starts
+    runs = [(label, seeded) for label, point in sweep_points(load_config(args.config))
+            for seeded in _at_seeds(point, args.seed)]
+    columns = ("point", "seed", "accuracy", "f1_macro", "recall_macro", "auc_macro",
                "bytes_up", "bytes_down", "wall_seconds")
     threads = _resolve_threads(args.threads)
-    rows = []
-    for label, point in points:
-        name = f"{label}_seed{point.seed}"
-        summary = run_experiment(point, os.path.join(args.out, name), threads=threads)
-        cells = {"seed": point.seed, **summary["final"], **summary["totals"]}
-        rows.append([label] + [cells[c] for c in columns])
-        print(f"{name}: accuracy {cells['accuracy']:.4f}")
+    os.makedirs(args.out, exist_ok=True)
     sweep_path = os.path.join(args.out, "sweep.csv")
     with open(sweep_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow((axis,) + columns)
-        writer.writerows(rows)
+        writer.writerow(columns)
+        for label, point in runs:
+            name = f"{label}_seed{point.seed}"
+            summary = run_experiment(point, os.path.join(args.out, name), threads=threads)
+            cells = {"point": label, "seed": point.seed, **summary["final"],
+                     **summary["totals"]}
+            writer.writerow([cells[c] for c in columns])
+            fh.flush()
+            print(f"{name}: accuracy {cells['accuracy']:.4f}")
     print(f"sweep summary written to {sweep_path}")
     return EXIT_OK
 

@@ -3,13 +3,15 @@
 Configs are YAML documents (JSON parses as a YAML subset, so an echoed
 summary can be fed straight back in).  Validation is total before any
 compute starts: every unknown key, wrong type, or out-of-range value is
-reported with its dotted path, all at once.
+reported with its dotted path, all at once, a sweep's points included.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+import re
 import sys
 import typing
 from dataclasses import dataclass
@@ -26,12 +28,6 @@ from .losses import LossConfig
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 DATASET_KINDS = ("synthetic", "ucihar")
-SWEEP_AXES = ("join_ratio", "components", "strategy")
-
-DEFAULT_JOIN_SWEEP = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
-# the rows of the components sweep: label -> (enable_nkd, enable_ctl)
-COMPONENT_FLAGS = {"base": (False, False), "base+nkd": (True, False),
-                   "base+ct+nkd": (True, True)}
 
 
 class ConfigError(ValueError):
@@ -50,12 +46,6 @@ class DatasetConfig:
     samples_per_class: int = 200
     separation: float = 3.0
     root: str = ""
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    axis: str
-    values: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -83,7 +73,7 @@ class RunConfig:
     wire_precision: str = "f32"
     fedprox_mu: float = 0.01
     deterministic_timing: bool = False
-    sweep: SweepConfig | None = None
+    sweep: list | None = None
 
     def _build(self, cls):
         """An instance of ``cls`` from the settings its fields name."""
@@ -104,12 +94,6 @@ class RunConfig:
             d["dataset"] = {"kind": self.dataset.kind, "root": self.dataset.root}
         if self.sweep is None:
             del d["sweep"]
-        elif self.sweep.axis == "components":
-            # the components axis has fixed rows, so echoing its values
-            # back would be rejected on re-parse
-            del d["sweep"]["values"]
-        else:
-            d["sweep"]["values"] = list(self.sweep.values)
         return d
 
 
@@ -117,13 +101,11 @@ class RunConfig:
 
 def _schema(cls) -> dict[str, type]:
     """The YAML type each field of a config dataclass accepts: ``X | None``
-    reads as X, a tuple as a list and a nested dataclass as a mapping."""
+    reads as X and a nested dataclass as a mapping."""
     schema = {}
     for name, hint in typing.get_type_hints(cls).items():
         hint = next((a for a in typing.get_args(hint) if a is not type(None)), hint)
-        if hint is tuple:
-            hint = list
-        elif dataclasses.is_dataclass(hint):
+        if dataclasses.is_dataclass(hint):
             hint = dict
         schema[name] = hint
     return schema
@@ -131,7 +113,7 @@ def _schema(cls) -> dict[str, type]:
 
 # built once: resolving the type hints on every load would slow each run's setup
 _SCHEMAS = {cls: _schema(cls)
-            for cls in (RunConfig, DatasetConfig, data.PartitionSpec, SweepConfig)}
+            for cls in (RunConfig, DatasetConfig, data.PartitionSpec)}
 
 
 def _coerce(value, want, path, problems):
@@ -163,45 +145,6 @@ def _take_section(raw: dict, cls: type, section: str, problems: list[str]) -> di
     return out
 
 
-def _sweep_point(axis: str, value) -> tuple[str, dict]:
-    """The label of a sweep point and the settings it overrides."""
-    if axis == "join_ratio":
-        return f"join_{value:g}", {"join_ratio": float(value)}
-    if axis == "strategy":
-        return value.lower(), {"strategy": value}
-    nkd, ctl = COMPONENT_FLAGS[value]
-    return value.replace("+", "_"), {"strategy": "FEDKDX", "enable_nkd": nkd,
-                                     "enable_ctl": ctl}
-
-
-def _sweep_values(axis: str, values, problems: list[str]) -> tuple:
-    """The points of a valid axis; ``values`` as given, None when unset."""
-    if axis == "components":
-        if values:
-            problems.append("sweep.values: the components axis has fixed rows; "
-                            "leave values unset")
-        return tuple(COMPONENT_FLAGS)
-    if values is None:
-        values = DEFAULT_JOIN_SWEEP if axis == "join_ratio" else STRATEGIES
-    if not values:
-        problems.append("sweep.values: empty list")
-    elif axis == "join_ratio" and not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v <= 1
-            for v in values):
-        problems.append("sweep.values: join ratios must lie in (0, 1]")
-    elif axis == "strategy" and not all(v in STRATEGIES for v in values):
-        problems.append(f"sweep.values: strategies must be among {STRATEGIES}, "
-                        f"got {list(values)!r}")
-    else:
-        # each point writes to a directory named by its label, so two values
-        # with one label would overwrite each other's artifacts
-        labels = [_sweep_point(axis, v)[0] for v in values]
-        problems += [f"sweep.values: {v!r} repeats the point {label}"
-                     for i, (v, label) in enumerate(zip(values, labels))
-                     if label in labels[:i]]
-    return tuple(values)
-
-
 def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError([f"top level must be a mapping, got {type(raw).__name__}"])
@@ -227,21 +170,9 @@ def config_from_dict(raw: dict) -> RunConfig:
         problems.append(str(e))
         spec = data.PartitionSpec()
 
-    sweep_cfg = None
-    # a sweep that is not a mapping is already reported by its type
-    if "sweep" in top:
-        sw = _take_section(top.pop("sweep"), SweepConfig, "sweep", problems)
-        axis = sw.get("axis")
-        if axis not in SWEEP_AXES:
-            problems.append(f"sweep.axis: must be one of {SWEEP_AXES}, got {axis!r}")
-        else:
-            sweep_cfg = SweepConfig(axis=axis,
-                                    values=_sweep_values(axis, sw.get("values"), problems))
-
     # a missing kind is already reported; the placeholder names no kind, so
     # only the checks that need none run on the dataset
-    cfg = RunConfig(dataset=DatasetConfig(**{"kind": "", **ds}), partition=spec,
-                    sweep=sweep_cfg, **top)
+    cfg = RunConfig(dataset=DatasetConfig(**{"kind": "", **ds}), partition=spec, **top)
     problems.extend(_range_problems(cfg))
     # constructor-level validation of the derived objects
     for build in (cfg.loss_config, cfg.policy):
@@ -249,6 +180,9 @@ def config_from_dict(raw: dict) -> RunConfig:
             build()
         except ValueError as e:
             problems.append(str(e))
+    # a sweep that is not a list is already reported by its type
+    if cfg.sweep is not None:
+        problems += _sweep_problems(raw, cfg.sweep, problems)
     if problems:
         raise ConfigError(problems)
     return cfg
@@ -300,25 +234,64 @@ def load_config(path: str) -> RunConfig:
     return config_from_dict(raw)
 
 
-def sweep_points(cfg: RunConfig, seeds: list[int] | None = None
-                 ) -> tuple[str, list[tuple[str, RunConfig]]]:
-    """The sweep's axis and each (label, config) it runs, every value of
-    the axis once at each seed, a value's seeds in a row.
+def _merged(base: dict, entry: dict) -> dict:
+    """``base`` with ``entry`` laid over it, nested mappings key by key."""
+    nested = {key: _merged(base[key], value) for key, value in entry.items()
+              if isinstance(value, dict) and isinstance(base.get(key), dict)}
+    return {**base, **entry, **nested}
 
-    A config without a ``sweep:`` section sweeps the join ratios of
-    ``DEFAULT_JOIN_SWEEP``; without ``seeds`` every point runs at the
-    config's own seed.
-    """
-    sweep = cfg.sweep or SweepConfig(axis="join_ratio", values=DEFAULT_JOIN_SWEEP)
-    seeds = [cfg.seed] if seeds is None else seeds
-    problems = [f"--seed: must be >= 0, got {s}" for s in seeds if s < 0]
-    problems += [f"--seed: {s} given twice" for i, s in enumerate(seeds)
-                 if s in seeds[:i]]
-    if problems:
-        raise ConfigError(problems)
-    points = []
-    for value in sweep.values:
-        label, settings = _sweep_point(sweep.axis, value)
-        points += [(label, dataclasses.replace(cfg, sweep=None, seed=s, **settings))
-                   for s in seeds]
-    return sweep.axis, points
+
+def _settings(entry: dict, prefix: str = ""):
+    """Each ``key=value`` an entry sets, in the order given, with dotted
+    keys for nested settings and values spelled as in YAML."""
+    for key, value in entry.items():
+        if isinstance(value, dict):
+            yield from _settings(value, f"{prefix}{key}.")
+        elif isinstance(value, str):
+            yield f"{prefix}{key}={value}"
+        else:
+            yield f"{prefix}{key}={json.dumps(value, default=str)}"
+
+
+def point_label(entry: dict) -> str:
+    """The entry's settings joined by ``+``, ``base`` for none; floats keep
+    their shortest round-trip form and a character unsafe in a path
+    becomes ``_``."""
+    return re.sub(r"[^A-Za-z0-9_.=+-]", "_", "+".join(_settings(entry))) or "base"
+
+
+def _sweep_problems(raw: dict, entries: list, base_problems: list[str]) -> list[str]:
+    """What each sweep entry adds to the base's problems, prefixed by its index."""
+    if not entries:
+        return ["sweep: empty list"]
+    # each point is checked against the document as written, so that a
+    # problem of the base reads alike in every point
+    base = {key: value for key, value in raw.items() if key != "sweep"}
+    problems, labels = [], []
+    for i, entry in enumerate(entries):
+        where = f"sweep[{i}]"
+        if not isinstance(entry, dict):
+            problems.append(f"{where}: expected dict, got {type(entry).__name__}")
+        elif "sweep" in entry:
+            problems.append(f"{where}: a point cannot hold a sweep")
+        else:
+            # each point writes to the directory its label names
+            label = point_label(entry)
+            if label in labels:
+                problems.append(f"{where}: repeats the point {label}")
+            labels.append(label)
+            try:
+                config_from_dict(_merged(base, entry))
+            except ConfigError as e:
+                problems += [f"{where}: {p}" for p in e.problems if p not in base_problems]
+    return problems
+
+
+def sweep_points(cfg: RunConfig) -> list[tuple[str, RunConfig]]:
+    """Each (label, config) the sweep runs, in the order of its entries;
+    a config without a sweep is the one point ``base``."""
+    if cfg.sweep is None:
+        return [("base", cfg)]
+    base = dataclasses.replace(cfg, sweep=None).to_dict()
+    return [(point_label(entry), config_from_dict(_merged(base, entry)))
+            for entry in cfg.sweep]

@@ -19,6 +19,8 @@ HAR_CHANNELS = (
     "total_acc_x", "total_acc_y", "total_acc_z",
 )
 
+HAR_ACTIVITIES = 6  # walking, upstairs, downstairs, sitting, standing, laying
+
 MODE_BY_SUBJECT = "by_subject"
 MODE_IID = "iid_shuffle"
 MODE_DIRICHLET = "dirichlet"
@@ -113,7 +115,8 @@ def load_ucihar(root: str) -> np.recarray:
     """Read both archive splits into one record array, train rows first.
 
     Nine channel files per split, one 128-column row per window, aligned
-    row-wise with the label and subject files.  Labels come 1-based on disk.
+    row-wise with the label and subject files.  Labels come 1-based on disk,
+    one per activity.
     """
     nested = os.path.join(root, "UCI HAR Dataset")
     if not os.path.isdir(os.path.join(root, "train")) and os.path.isdir(nested):
@@ -122,8 +125,11 @@ def load_ucihar(root: str) -> np.recarray:
     for split in ("train", "test"):
         label_path = os.path.join(root, split, f"y_{split}.txt")
         labels = _read_ids(label_path)
-        if labels.min(initial=1) < 1:
-            raise DataError(f"{label_path}: labels count from 1, found {labels.min()}")
+        # the model has a class per label up to the largest: refuse strays
+        stray = labels[(labels < 1) | (labels > HAR_ACTIVITIES)]
+        if stray.size:
+            raise DataError(f"{label_path}: labels count from 1 to {HAR_ACTIVITIES}, "
+                            f"found {stray[0]}")
         subjects = _read_ids(os.path.join(root, split, f"subject_{split}.txt"))
         if subjects.size != labels.size:
             raise DataError(f"row-count mismatch in {split}: "

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from fedkdx.cli import main
-from fedkdx.config import (ConfigError, DEFAULT_JOIN_SWEEP, config_from_dict,
-                           load_config, sweep_points)
+from fedkdx.config import (ConfigError, config_from_dict, load_config, point_label,
+                           sweep_points)
 from fedkdx.experiment import (CSV_COLUMNS, build_experiment, run_experiment,
                                version_string, write_partition_table)
 from fedkdx.federation import STRATEGIES, RoundError, evaluate, run_round
@@ -29,7 +29,8 @@ MINIMAL = {"dataset": {"kind": "synthetic"}}
 def write_yaml(tmp_path, raw, name="cfg.yaml"):
     import yaml
     path = tmp_path / name
-    path.write_text(yaml.safe_dump(raw))
+    # keys in the order given, which a sweep point's label spells
+    path.write_text(yaml.safe_dump(raw, sort_keys=False))
     return str(path)
 
 
@@ -61,11 +62,13 @@ def test_minimal_document_fills_defaults():
 def test_echo_round_trips_exactly():
     cfg = make_config(rounds=7, tau=1.25, enable_ctl=False)
     assert config_from_dict(cfg.to_dict()) == cfg
-    swept = config_from_dict({**fast_raw(), "sweep": {"axis": "join_ratio",
-                                                      "values": [0.25, 0.5]}})
+    swept = config_from_dict({**fast_raw(), "sweep": [{"join_ratio": 0.25},
+                                                      {"join_ratio": 0.5}]})
     assert config_from_dict(swept.to_dict()) == swept
-    comp = config_from_dict({**fast_raw(), "sweep": {"axis": "components"}})
-    assert config_from_dict(comp.to_dict()) == comp
+    nested = config_from_dict({**fast_raw(), "sweep": [
+        {"strategy": "FEDKD", "partition": {"alpha": 0.5}},
+        {"enable_nkd": False, "enable_ctl": False}]})
+    assert config_from_dict(nested.to_dict()) == nested
 
 
 # every top-level default, as the echo spells it
@@ -92,13 +95,13 @@ def test_echo_is_pinned():
     assert har.to_dict() == {
         **ECHO_TOP, "rounds": 50, "dataset": {"kind": "ucihar", "root": "/data/har"},
         "partition": {**ECHO_PARTITION, "mode": "by_subject"}}
+    # the sweep echoes its entries as written
+    entries = [{"join_ratio": 0.25}, {"strategy": "FEDKD", "partition": {"alpha": 1}}]
     swept = config_from_dict({**copy.deepcopy(MINIMAL), "tau": 2,
-                              "sweep": {"axis": "join_ratio", "values": [0.25, 0.5]}})
+                              "sweep": copy.deepcopy(entries)})
     assert swept.to_dict() == {
         **ECHO_TOP, "tau": 2.0, "dataset": ECHO_SYNTH, "partition": ECHO_PARTITION,
-        "sweep": {"axis": "join_ratio", "values": [0.25, 0.5]}}
-    comp = config_from_dict({**copy.deepcopy(MINIMAL), "sweep": {"axis": "components"}})
-    assert comp.to_dict()["sweep"] == {"axis": "components"}
+        "sweep": entries}
 
 
 def test_readme_config_block_lists_every_key_with_its_default():
@@ -208,10 +211,15 @@ def test_a_missing_dataset_kind_hides_no_other_problem():
 
 
 def test_a_non_mapping_sweep_is_reported_once():
-    for sweep, kind in ((5, "int"), (None, "NoneType"), ([], "list")):
+    # a sweep is a list, and each of its entries a mapping
+    for sweep, problem in ((5, "sweep: expected list, got int"),
+                           (None, "sweep: expected list, got NoneType"),
+                           ({"axis": "join_ratio"}, "sweep: expected list, got dict"),
+                           ([5], "sweep[0]: expected dict, got int"),
+                           ([{"tau": 2}, "FEDAVG"], "sweep[1]: expected dict, got str")):
         with pytest.raises(ConfigError) as err:
             config_from_dict({**copy.deepcopy(MINIMAL), "sweep": sweep})
-        assert err.value.problems == [f"sweep: expected dict, got {kind}"]
+        assert err.value.problems == [problem]
 
 
 def test_derived_object_problems_surface_in_the_same_error():
@@ -222,55 +230,69 @@ def test_derived_object_problems_surface_in_the_same_error():
 
 
 def test_sweep_section_rules():
-    cfg = config_from_dict({**copy.deepcopy(MINIMAL),
-                            "sweep": {"axis": "join_ratio"}})
-    assert cfg.sweep.values == DEFAULT_JOIN_SWEEP
-    comp = config_from_dict({**copy.deepcopy(MINIMAL),
-                             "sweep": {"axis": "components"}})
-    assert comp.sweep.values == ("base", "base+nkd", "base+ct+nkd")
-    with pytest.raises(ConfigError, match="sweep.axis: must be one of"):
-        config_from_dict({**copy.deepcopy(MINIMAL), "sweep": {"axis": "lr"}})
-    with pytest.raises(ConfigError, match=r"join ratios must lie in \(0, 1\]"):
-        config_from_dict({**copy.deepcopy(MINIMAL),
-                          "sweep": {"axis": "join_ratio", "values": [0.5, 2.0]}})
-    with pytest.raises(ConfigError, match=r"join ratios must lie in \(0, 1\]"):
-        config_from_dict({**copy.deepcopy(MINIMAL),
-                          "sweep": {"axis": "join_ratio", "values": [True, 0.5]}})
-    with pytest.raises(ConfigError, match="fixed rows"):
-        config_from_dict({**copy.deepcopy(MINIMAL),
-                          "sweep": {"axis": "components", "values": ["base"]}})
-    strat = config_from_dict({**copy.deepcopy(MINIMAL), "sweep": {"axis": "strategy"}})
-    assert strat.sweep.values == STRATEGIES
+    for sweep, problem in (([], "sweep: empty list"),
+                           ([{"tau": 2}, {"sweep": [{"tau": 3}]}],
+                            "sweep[1]: a point cannot hold a sweep")):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({**copy.deepcopy(MINIMAL), "sweep": sweep})
+        assert err.value.problems == [problem]
+    # a base problem is reported once, unprefixed, whatever the points set;
+    # a problem only a point adds carries the point's index
     with pytest.raises(ConfigError) as err:
-        config_from_dict({**copy.deepcopy(MINIMAL), "rounds": 0,
-                          "sweep": {"axis": "strategy", "values": ["FEDAVG", "fedkd"]}})
+        config_from_dict({**copy.deepcopy(MINIMAL), "rounds": 0, "sweep": [
+            {"join_ratio": 0.5}, {"join_ratio": 2.0}, {"rounds": 3},
+            {"strategy": "fedkd", "bogus": 1, "partition": {"alpha": True}}]})
     assert err.value.problems == [
-        "sweep.values: strategies must be among ('FEDAVG', 'FEDPROX', 'FEDKD', "
-        "'FEDKDX'), got ['FEDAVG', 'fedkd']",
-        "rounds: must be >= 1, got 0"]
+        "rounds: must be >= 1, got 0",
+        "sweep[1]: join_ratio: must lie in (0, 1], got 2.0",
+        "sweep[3]: bogus: unknown key",
+        "sweep[3]: partition.alpha: expected float, got bool",
+        "sweep[3]: strategy: must be one of ('FEDAVG', 'FEDPROX', 'FEDKD', 'FEDKDX'), "
+        "got 'fedkd'"]
+    # each point is the config with its entry laid over it, nested mappings
+    # key by key, at the config's seed
+    cfg = config_from_dict({**fast_raw(seed=5), "sweep": [
+        {"partition": {"alpha": 2}}, {"strategy": "FEDAVG", "join_ratio": 1}]})
+    points = sweep_points(cfg)
+    assert [label for label, _ in points] == ["partition.alpha=2",
+                                              "strategy=FEDAVG+join_ratio=1"]
+    base = config_from_dict(fast_raw(seed=5))
+    assert points[0][1] == dataclasses.replace(
+        base, partition=dataclasses.replace(base.partition, alpha=2.0))
+    assert points[1][1] == dataclasses.replace(base, strategy="FEDAVG", join_ratio=1.0)
+    # a config without a sweep is its own single point
+    assert sweep_points(base) == [("base", base)]
 
 
 def test_sweep_points_need_distinct_labels(tmp_path, capsys):
-    # a join point is labelled with 6 significant digits, and each point
-    # writes to the directory its label names
-    for axis, values, problem in (
-            ("join_ratio", [0.2500001, 0.25000012],
-             "sweep.values: 0.25000012 repeats the point join_0.25"),
-            ("join_ratio", [0.5, 0.25, 0.5],
-             "sweep.values: 0.5 repeats the point join_0.5"),
-            ("strategy", ["FEDKD", "FEDAVG", "FEDKD"],
-             "sweep.values: 'FEDKD' repeats the point fedkd")):
+    assert point_label({"enable_nkd": False, "enable_ctl": False}) == \
+        "enable_nkd=false+enable_ctl=false"
+    assert point_label({"strategy": "FEDKD", "partition": {"alpha": 0.5}}) == \
+        "strategy=FEDKD+partition.alpha=0.5"
+    assert point_label({}) == "base"
+    # floats in their shortest round-trip form: distinct values, distinct labels
+    assert point_label({"join_ratio": 0.1 + 0.2}) == "join_ratio=0.30000000000000004"
+    config_from_dict({**copy.deepcopy(MINIMAL),
+                      "sweep": [{"join_ratio": 0.2500001}, {"join_ratio": 0.25000012}]})
+    # each point writes to the directory its label names, so a repeated
+    # label is refused, also where path-unsafe characters made it
+    har = {"dataset": {"kind": "ucihar", "root": "/data/har"}}
+    for raw, problem in (
+            ({**copy.deepcopy(MINIMAL), "sweep": [
+                {"join_ratio": 0.5}, {"join_ratio": 0.25}, {"join_ratio": 0.5}]},
+             "sweep[2]: repeats the point join_ratio=0.5"),
+            ({**copy.deepcopy(har), "sweep": [{"dataset": {"root": "/data/a b"}},
+                                              {"dataset": {"root": "/data/a_b"}}]},
+             "sweep[1]: repeats the point dataset.root=_data_a_b")):
         with pytest.raises(ConfigError) as err:
-            config_from_dict({**copy.deepcopy(MINIMAL), "rounds": 0,
-                              "sweep": {"axis": axis, "values": values}})
-        assert err.value.problems == [problem, "rounds: must be >= 1, got 0"]
+            config_from_dict({**raw, "rounds": 0})
+        assert err.value.problems == ["rounds: must be >= 1, got 0", problem]
 
     out = str(tmp_path / "s")
     cfg_path = write_yaml(tmp_path, {**fast_raw(rounds=1),
-                                     "sweep": {"axis": "join_ratio",
-                                               "values": [0.2500001, 0.25000012]}})
+                                     "sweep": [{"tau": 2.0}, {"tau": 2.0}]})
     assert main(["sweep", "--config", cfg_path, "--out", out]) == 2
-    assert "0.25000012 repeats the point join_0.25" in capsys.readouterr().err
+    assert "sweep[1]: repeats the point tau=2.0" in capsys.readouterr().err
     ok_path = write_yaml(tmp_path, fast_raw(rounds=1), name="ok.yaml")
     assert main(["sweep", "--config", ok_path, "--out", out,
                  "--seed", "3", "1", "3", "-2"]) == 2
@@ -280,37 +302,60 @@ def test_sweep_points_need_distinct_labels(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+CONFIG_DIR = Path(__file__).parent.parent / "scripts" / "configs"
+
 # the points each committed sweep config runs
 SWEEP_LABELS = {
-    "sweep_join.yaml": ("join_ratio", ["join_0.2", "join_0.3", "join_0.4", "join_0.5",
-                                       "join_0.6", "join_0.7", "join_0.8"]),
-    "sweep_components.yaml": ("components", ["base", "base_nkd", "base_ct_nkd"]),
-    "sweep_strategy.yaml": ("strategy", ["fedavg", "fedprox", "fedkd", "fedkdx"]),
+    "sweep_join.yaml": [f"join_ratio=0.{k}" for k in range(2, 9)],
+    "sweep_components.yaml": ["enable_nkd=false+enable_ctl=false",
+                              "enable_nkd=true+enable_ctl=false",
+                              "enable_nkd=true+enable_ctl=true"],
+    "sweep_strategy.yaml": [f"strategy={s}" for s in STRATEGIES],
+    "sweep_alpha.yaml": [f"strategy={s}+partition.alpha={a}"
+                         for a in ("0.1", "0.5", "1.0") for s in STRATEGIES],
 }
 
 
-def test_committed_configs_load_echo_and_expand():
-    config_dir = Path(__file__).parent.parent / "scripts" / "configs"
-    sweeps = set()
-    for path in sorted(config_dir.glob("*.yaml")):
+def test_committed_configs_load_and_echo():
+    for path in sorted(CONFIG_DIR.glob("*.yaml")):
         cfg = load_config(str(path))
         assert config_from_dict(cfg.to_dict()) == cfg, path.name
-        if cfg.sweep is not None:
-            axis, points = sweep_points(cfg)
-            assert (axis, [label for label, _ in points]) == SWEEP_LABELS[path.name]
-            sweeps.add(path.name)
-    assert sweeps == set(SWEEP_LABELS)
-    # the strategy study runs the acceptance gates' setup
-    assert load_config(str(config_dir / "sweep_strategy.yaml")) == config_from_dict(
-        {**copy.deepcopy(STUDY_RAW), "sweep": {"axis": "strategy"}})
+    # the strategy and label-skew studies run the acceptance gates' setup
+    base = config_from_dict(copy.deepcopy(STUDY_RAW))
+    for name in ("sweep_strategy.yaml", "sweep_alpha.yaml"):
+        assert dataclasses.replace(load_config(str(CONFIG_DIR / name)), sweep=None) == base
+
+
+def test_committed_sweeps_run_each_point_at_each_seed_alike_on_one_and_two_threads(
+        tmp_path, capsys):
+    import yaml
+    assert {p.name for p in CONFIG_DIR.glob("sweep_*.yaml")} == set(SWEEP_LABELS)
+    for name, labels in SWEEP_LABELS.items():
+        raw = yaml.safe_load((CONFIG_DIR / name).read_text())
+        cut = write_yaml(tmp_path, {**raw, "rounds": 2, "deterministic_timing": True},
+                         name=name)
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}-t{threads}"
+            assert main(["sweep", "--config", cut, "--out", str(out),
+                         "--seed", "0", "1", "--threads", threads]) == 0
+            outs.append(out)
+        with open(outs[0] / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["point"], r["seed"]) for r in rows] == [
+            (label, seed) for label in labels for seed in ("0", "1")], name
+        for rel in ["sweep.csv"] + [f"{r['point']}_seed{r['seed']}/metrics.csv"
+                                    for r in rows]:
+            assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+    capsys.readouterr()
 
 
 def test_committed_configs_parse_alike_with_either_yaml_loader():
     import yaml
     if not hasattr(yaml, "CSafeLoader"):
         pytest.skip("PyYAML was built without libyaml")
-    paths = sorted((Path(__file__).parent.parent / "scripts" / "configs").glob("*.yaml"))
-    assert len(paths) == 5
+    paths = sorted(CONFIG_DIR.glob("*.yaml"))
+    assert len(paths) == 6
     for path in paths:
         text = path.read_text()
         assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
@@ -688,65 +733,71 @@ def test_cli_partition_command(tmp_path, capsys):
 
 def test_cli_sweep_over_join_ratios(tmp_path, capsys):
     cfg_path = write_yaml(tmp_path, {**fast_raw(),
-                                     "sweep": {"axis": "join_ratio",
-                                               "values": [0.25, 0.75]}})
+                                     "sweep": [{"join_ratio": 0.25}, {"join_ratio": 0.75}]})
     out = str(tmp_path / "s")
     assert main(["sweep", "--config", cfg_path, "--out", out]) == 0
     captured = capsys.readouterr()
-    assert "join_0.25_seed0: accuracy" in captured.out
-    assert "join_0.75_seed0: accuracy" in captured.out
+    assert "join_ratio=0.25_seed0: accuracy" in captured.out
+    assert "join_ratio=0.75_seed0: accuracy" in captured.out
     with open(os.path.join(out, "sweep.csv")) as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["join_ratio", "seed", "accuracy", "f1_macro", "recall_macro",
+    assert rows[0] == ["point", "seed", "accuracy", "f1_macro", "recall_macro",
                        "auc_macro", "bytes_up", "bytes_down", "wall_seconds"]
-    assert [r[0] for r in rows[1:]] == ["join_0.25", "join_0.75"]
-    for d in ("join_0.25_seed0", "join_0.75_seed0"):
-        assert os.path.exists(os.path.join(out, d, "summary.json"))
+    assert [r[0] for r in rows[1:]] == ["join_ratio=0.25", "join_ratio=0.75"]
+    for ratio in (0.25, 0.75):
+        with open(os.path.join(out, f"join_ratio={ratio}_seed0", "summary.json")) as fh:
+            assert json.load(fh)["config"]["join_ratio"] == ratio
 
 
-def test_cli_sweep_defaults_to_seven_join_points(tmp_path):
+def test_cli_sweep_without_a_sweep_runs_the_base_point(tmp_path, capsys):
     cfg_path = write_yaml(tmp_path, fast_raw(rounds=1))
-    out = str(tmp_path / "s7")
-    assert main(["sweep", "--config", cfg_path, "--out", out]) == 0
-    with open(os.path.join(out, "sweep.csv")) as fh:
+    out = tmp_path / "s1"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
+    with open(out / "sweep.csv") as fh:
         rows = list(csv.reader(fh))
-    assert [r[0] for r in rows[1:]] == [f"join_{v:g}" for v in DEFAULT_JOIN_SWEEP]
+    assert [r[:2] for r in rows[1:]] == [["base", "0"]]
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "r")]) == 0
+    assert ((tmp_path / "r" / "metrics.csv").read_bytes()
+            == (out / "base_seed0" / "metrics.csv").read_bytes())
+    capsys.readouterr()
 
 
 def test_cli_sweep_over_components(tmp_path, capsys):
-    cfg_path = write_yaml(tmp_path, {**fast_raw(rounds=1),
-                                     "sweep": {"axis": "components"}})
+    cfg_path = write_yaml(tmp_path, {**fast_raw(rounds=1), "sweep": [
+        {"enable_nkd": False, "enable_ctl": False},
+        {"enable_nkd": True, "enable_ctl": False}, {}]})
     out = str(tmp_path / "sc")
     assert main(["sweep", "--config", cfg_path, "--out", out]) == 0
-    for d in ("base_seed0", "base_nkd_seed0", "base_ct_nkd_seed0"):
+    flags = {}
+    for d in ("enable_nkd=false+enable_ctl=false_seed0",
+              "enable_nkd=true+enable_ctl=false_seed0", "base_seed0"):
         with open(os.path.join(out, d, "summary.json")) as fh:
-            loaded = json.load(fh)
-        assert loaded["config"]["strategy"] == "FEDKDX"
-    with open(os.path.join(out, "base_seed0", "summary.json")) as fh:
-        assert json.load(fh)["config"]["enable_nkd"] is False
-    with open(os.path.join(out, "base_ct_nkd_seed0", "summary.json")) as fh:
-        assert json.load(fh)["config"]["enable_ctl"] is True
+            loaded = json.load(fh)["config"]
+        assert loaded["strategy"] == "FEDKDX"
+        flags[d] = (loaded["enable_nkd"], loaded["enable_ctl"])
+    assert list(flags.values()) == [(False, False), (True, False), (True, True)]
     with open(os.path.join(out, "sweep.csv")) as fh:
         rows = list(csv.reader(fh))
-    assert rows[0][0] == "components"
+    assert rows[0][0] == "point"
     assert len(rows) == 4
 
 
 def test_cli_sweep_over_strategies_and_seeds(tmp_path):
     cfg_path = write_yaml(tmp_path, {**fast_raw(rounds=1),
-                                     "sweep": {"axis": "strategy",
-                                               "values": ["FEDAVG", "FEDKDX"]}})
+                                     "sweep": [{"strategy": "FEDAVG"},
+                                               {"strategy": "FEDKDX"}]})
     out = tmp_path / "st"
     assert main(["sweep", "--config", cfg_path, "--out", str(out),
                  "--seed", "4", "3"]) == 0
     with open(out / "sweep.csv") as fh:
         rows = list(csv.DictReader(fh))
-    assert [(r["strategy"], r["seed"]) for r in rows] == [
-        ("fedavg", "4"), ("fedavg", "3"), ("fedkdx", "4"), ("fedkdx", "3")]
+    assert [(r["point"], r["seed"]) for r in rows] == [
+        ("strategy=FEDAVG", "4"), ("strategy=FEDAVG", "3"),
+        ("strategy=FEDKDX", "4"), ("strategy=FEDKDX", "3")]
     for r in rows:
-        with open(out / f"{r['strategy']}_seed{r['seed']}" / "summary.json") as fh:
+        with open(out / f"{r['point']}_seed{r['seed']}" / "summary.json") as fh:
             summary = json.load(fh)
-        assert summary["config"]["strategy"] == r["strategy"].upper()
+        assert summary["config"]["strategy"] == r["point"].split("=")[1]
         assert summary["config"]["seed"] == int(r["seed"])
         assert "sweep" not in summary["config"]
         assert float(r["accuracy"]) == summary["final"]["accuracy"]
@@ -757,7 +808,23 @@ def test_cli_sweep_over_strategies_and_seeds(tmp_path):
     assert main(["run", "--config", run_path, "--out", str(tmp_path / "r"),
                  "--seed", "3"]) == 0
     assert ((tmp_path / "r" / "metrics.csv").read_bytes()
-            == (out / "fedavg_seed3" / "metrics.csv").read_bytes())
+            == (out / "strategy=FEDAVG_seed3" / "metrics.csv").read_bytes())
+
+
+def test_cli_sweep_keeps_the_rows_of_finished_points_when_one_fails(tmp_path, capsys):
+    # the second point's archive does not exist: valid as config, fatal at load
+    missing = str(tmp_path / "no-archive")
+    cfg_path = write_yaml(tmp_path, {**fast_raw(rounds=1), "sweep": [
+        {"join_ratio": 0.5}, {"dataset": {"kind": "ucihar", "root": missing}},
+        {"join_ratio": 1.0}]})
+    out = tmp_path / "sf"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 1
+    assert "missing dataset file" in capsys.readouterr().err
+    with open(out / "sweep.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][0] == "point"
+    assert [r[:2] for r in rows[1:]] == [["join_ratio=0.5", "0"]]
+    assert not (out / "join_ratio=1.0_seed0").exists()
 
 
 def test_cli_echo_reproduces_the_run(tmp_path):

@@ -1,7 +1,8 @@
 """Mutation fuzzing of the two byte formats read from outside a run: uplink
 packets and checkpoints.  Every mutant of a valid input either decodes or
 raises the format's own error, never anything else.  Label and subject
-files whose ids do not fit int64 are refused with the loader's own error."""
+files whose ids do not fit int64, and labels beyond the six activities, are
+refused with the loader's own error."""
 
 import json
 import os
@@ -142,4 +143,14 @@ def test_ids_beyond_int64_are_refused_at_load(tmp_path, fname, text):
         fh.write(text)
     with pytest.raises(DataError, match=os.path.basename(fname)
                        + ": an id lies beyond the 64-bit integer range"):
+        load_ucihar(root)
+
+
+def test_a_stray_label_beyond_the_activities_is_refused_at_load(tmp_path):
+    # the model is sized by the largest label: 20001 would build 20001 classes
+    root = write_fake_archive(str(tmp_path))
+    path = os.path.join(root, "train", "y_train.txt")
+    with open(path, "w") as fh:
+        fh.write("1\n20001\n6\n")
+    with pytest.raises(DataError, match="y_train.txt: labels count from 1 to 6, found 20001"):
         load_ucihar(root)
