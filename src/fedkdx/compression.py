@@ -1,4 +1,4 @@
-"""Energy-thresholded low-rank gradient compression and its wire codec.
+"""Energy-thresholded low-rank gradient compression.
 
 Each gradient tensor is treated as a matrix G (conv kernels flatten to
 filters x rest, and a wide matrix is transposed so it is tall, P x Q) and
@@ -11,37 +11,21 @@ the factor payload is strictly smaller than the raw matrix; everything
 else, including SVD non-convergence, falls back to a raw entry so a round
 never aborts.
 
-The byte format is fixed and bit-exact: magic ``FKDG0001``, u32 entry
-count, then per entry a u16-length-prefixed UTF-8 name, u8 mode, u8
-precision, u32 dim count (at most 64) + u32 dims (original tensor shape),
-and the payload in little-endian row-major order (low-rank payloads carry
-u32 R, then U, sigma, V).  Decoding rejects a non-finite value, so a
-poisoned uplink fails before the server applies anything.
+Packets travel in the byte format of ``wire``.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import SvdNonConvergence, thin_svd
-from .nn import ByteReader, LayerParam, ModelParams
-
-PACKET_MAGIC = b"FKDG0001"
-
-MODE_RAW = 0
-MODE_LOWRANK = 1
-MODE_LOWRANK_T = 2
-
-_PRECISION_CODE = {"f32": 0, "f64": 1}
-_PRECISION_NAME = {v: k for k, v in _PRECISION_CODE.items()}
-_WIRE_DTYPE = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
-
-
-class CodecError(ValueError):
-    """Packet bytes are malformed."""
+from .nn import LayerParam, ModelParams
+# the codec names too, which callers import from here
+from .wire import (MODE_LOWRANK, MODE_LOWRANK_T, MODE_RAW, PACKET_MAGIC, WIRE_DTYPE,
+                   CodecError, GradientPacket, PacketEntry, decode_packet, encode_packet,
+                   packet_size_bytes, raw_entry)
 
 
 @dataclass(frozen=True)
@@ -54,7 +38,7 @@ class CompressionPolicy:
         for label, v in (("eps_start", self.eps_start), ("eps_end", self.eps_end)):
             if not (0.0 < v <= 1.0):
                 raise ValueError(f"{label} must lie in (0, 1], got {v}")
-        if self.wire_precision not in _WIRE_DTYPE:
+        if self.wire_precision not in WIRE_DTYPE:
             raise ValueError(f"wire_precision must be f32 or f64, got {self.wire_precision!r}")
 
 
@@ -88,35 +72,9 @@ def select_rank(sigma: np.ndarray, eps: float) -> int:
     return sigma.size - satisfied + 1 if satisfied else sigma.size
 
 
-@dataclass
-class PacketEntry:
-    """One layer of a gradient packet; arrays live in the wire dtype so
-    encoding is a plain byte copy."""
-
-    name: str
-    shape: tuple[int, ...]
-    mode: int
-    precision: str
-    raw: np.ndarray | None = None     # MODE_RAW: values in the original shape
-    rank: int = 0
-    u: np.ndarray | None = None       # (P, R) of the working matrix
-    sigma: np.ndarray | None = None   # (R,)
-    vt: np.ndarray | None = None      # (R, Q) of the working matrix
-
-
-@dataclass
-class GradientPacket:
-    entries: list[PacketEntry] = field(default_factory=list)
-
-
 def _working_matrix(values: np.ndarray) -> np.ndarray:
     # conv kernels and anything higher-dimensional: first axis vs the rest
     return values.reshape(values.shape[0], -1)
-
-
-def _raw_entry(name: str, values: np.ndarray, precision: str) -> PacketEntry:
-    wire = np.ascontiguousarray(values, dtype=_WIRE_DTYPE[precision])
-    return PacketEntry(name, tuple(values.shape), MODE_RAW, precision, raw=wire)
 
 
 def _truncated_factors(work: np.ndarray, eps: float):
@@ -161,7 +119,7 @@ def compress_layer(name: str, values: np.ndarray, eps: float,
     if not np.isfinite(values).all():
         raise ValueError(f"layer {name!r} has non-finite values")
     if values.ndim < 2:
-        return _raw_entry(name, values, precision), False
+        return raw_entry(name, values, precision), False
 
     work = _working_matrix(values)
     transposed = work.shape[0] < work.shape[1]
@@ -172,13 +130,13 @@ def compress_layer(name: str, values: np.ndarray, eps: float,
     try:
         u, sigma, v = _truncated_factors(work, eps)
     except SvdNonConvergence:
-        return _raw_entry(name, values, precision), True
+        return raw_entry(name, values, precision), True
 
     r = sigma.size
     if r == 0 or p * r + r * r + r * q >= p * q:
-        return _raw_entry(name, values, precision), False
+        return raw_entry(name, values, precision), False
 
-    dtype = _WIRE_DTYPE[precision]
+    dtype = WIRE_DTYPE[precision]
     return PacketEntry(
         name, tuple(values.shape),
         MODE_LOWRANK_T if transposed else MODE_LOWRANK, precision,
@@ -207,7 +165,7 @@ def compress_gradient(grads: ModelParams, eps: float,
 
 def raw_packet(grads: ModelParams, policy: CompressionPolicy) -> GradientPacket:
     """Uncompressed packet: every layer as raw values at the wire precision."""
-    return GradientPacket([_raw_entry(l.name, l.values, policy.wire_precision)
+    return GradientPacket([raw_entry(l.name, l.values, policy.wire_precision)
                            for l in grads.layers])
 
 
@@ -236,72 +194,3 @@ def decompress(pkt: GradientPacket, template: ModelParams) -> ModelParams:
             rec = rec.reshape(entry.shape)
         out.append(LayerParam(entry.name, rec))
     return ModelParams(template.arch, out, dict(template.meta))
-
-
-# ------------------------------------------------------------------ codec
-
-def packet_size_bytes(pkt: GradientPacket) -> int:
-    """Length of the packet on the wire."""
-    return len(encode_packet(pkt))
-
-
-def encode_packet(pkt: GradientPacket) -> bytes:
-    out = [PACKET_MAGIC, struct.pack("<I", len(pkt.entries))]
-    for e in pkt.entries:
-        nb = e.name.encode("utf-8")
-        out.append(struct.pack("<H", len(nb)))
-        out.append(nb)
-        out.append(struct.pack("<BB", e.mode, _PRECISION_CODE[e.precision]))
-        out.append(struct.pack("<I", len(e.shape)))
-        out.append(struct.pack(f"<{len(e.shape)}I", *e.shape))
-        if e.mode == MODE_RAW:
-            out.append(np.ascontiguousarray(e.raw).tobytes())
-        else:
-            out.append(struct.pack("<I", e.rank))
-            for arr in (e.u, e.sigma, e.vt):
-                out.append(np.ascontiguousarray(arr).tobytes())
-    return b"".join(out)
-
-
-def decode_packet(buf: bytes) -> GradientPacket:
-    r = ByteReader(buf, CodecError, "<I")
-    if r.take(len(PACKET_MAGIC), "packet magic") != PACKET_MAGIC:
-        raise CodecError(f"bad magic, expected {PACKET_MAGIC!r}")
-    (count,) = r.unpack("<I", "entry count")
-    entries = []
-    for i in range(count):
-        (name_len,) = r.unpack("<H", f"entry {i} name length")
-        name = r.text(name_len, f"entry {i} layer name")
-        mode, prec_code = r.unpack("<BB", f"layer {name!r} header")
-        if mode not in (MODE_RAW, MODE_LOWRANK, MODE_LOWRANK_T):
-            raise CodecError(f"layer {name!r}: unknown mode {mode}")
-        if prec_code not in _PRECISION_NAME:
-            raise CodecError(f"layer {name!r}: unknown precision code {prec_code}")
-        precision = _PRECISION_NAME[prec_code]
-        dtype = _WIRE_DTYPE[precision]
-        shape, size = r.shape(f"layer {name!r}")
-
-        if mode == MODE_RAW:
-            values = r.array(size, dtype, f"layer {name!r} values").reshape(shape)
-            entries.append(PacketEntry(name, shape, mode, precision, raw=values))
-            continue
-
-        if not shape:
-            raise CodecError(f"layer {name!r}: low-rank entry cannot be a scalar")
-        p = shape[0]
-        q = size // p if p else 0
-        if mode == MODE_LOWRANK_T:
-            p, q = q, p
-        (rank,) = r.unpack("<I", f"layer {name!r} rank")
-        if rank < 1 or rank > min(p, q):
-            raise CodecError(f"layer {name!r}: rank {rank} invalid for {p}x{q}")
-        u = r.array(p * rank, dtype, f"layer {name!r} U").reshape(p, rank)
-        sigma = r.array(rank, dtype, f"layer {name!r} sigma")
-        vt = r.array(rank * q, dtype, f"layer {name!r} V").reshape(rank, q)
-        entries.append(PacketEntry(name, shape, mode, precision,
-                                   rank=rank, u=u, sigma=sigma, vt=vt))
-    r.finish("entry")
-    for e in entries:
-        if not all(np.isfinite(a).all() for a in (e.raw, e.u, e.sigma, e.vt) if a is not None):
-            raise CodecError(f"layer {e.name!r} has non-finite values")
-    return GradientPacket(entries)

@@ -29,6 +29,10 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 DATASET_KINDS = ("synthetic", "ucihar")
 
+# a sweep point runs in ``<label>_seed<k>/``; the name must fit the usual
+# 255-byte limit with room for any 64-bit seed
+MAX_LABEL_BYTES = 255 - len("_seed") - len(str(2**64))
+
 
 class ConfigError(ValueError):
     """One or more configuration problems; message lists all of them."""
@@ -182,7 +186,7 @@ def config_from_dict(raw: dict) -> RunConfig:
             problems.append(str(e))
     # a sweep that is not a list is already reported by its type
     if cfg.sweep is not None:
-        problems += _sweep_problems(raw, cfg.sweep, problems)
+        problems += _sweep_problems(cfg, raw, problems)
     if problems:
         raise ConfigError(problems)
     return cfg
@@ -260,15 +264,20 @@ def point_label(entry: dict) -> str:
     return re.sub(r"[^A-Za-z0-9_.=+-]", "_", "+".join(_settings(entry))) or "base"
 
 
-def _sweep_problems(raw: dict, entries: list, base_problems: list[str]) -> list[str]:
+def _sweep_problems(cfg: RunConfig, raw: dict, base_problems: list[str]) -> list[str]:
     """What each sweep entry adds to the base's problems, prefixed by its index."""
-    if not entries:
+    if not cfg.sweep:
         return ["sweep: empty list"]
-    # each point is checked against the document as written, so that a
-    # problem of the base reads alike in every point
-    base = {key: value for key, value in raw.items() if key != "sweep"}
+    # each point is checked as sweep_points builds it; a dataset the base
+    # does not resolve stays as written, so that its problem reads alike
+    # in every point and is reported once
+    base = dataclasses.replace(cfg, sweep=None).to_dict()
+    if cfg.dataset.kind not in DATASET_KINDS:
+        del base["dataset"]
+        if "dataset" in raw:
+            base["dataset"] = raw["dataset"]
     problems, labels = [], []
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(cfg.sweep):
         where = f"sweep[{i}]"
         if not isinstance(entry, dict):
             problems.append(f"{where}: expected dict, got {type(entry).__name__}")
@@ -279,6 +288,9 @@ def _sweep_problems(raw: dict, entries: list, base_problems: list[str]) -> list[
             label = point_label(entry)
             if label in labels:
                 problems.append(f"{where}: repeats the point {label}")
+            if len(label) > MAX_LABEL_BYTES:
+                problems.append(f"{where}: its label is {len(label)} bytes, at most "
+                                f"{MAX_LABEL_BYTES} fit a run directory's name")
             labels.append(label)
             try:
                 config_from_dict(_merged(base, entry))

@@ -18,6 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .wire import (MODE_RAW, WIRE_DTYPE, ByteReader, CodecError, GradientPacket,
+                   decode_packet, encode_packet, raw_entry)
+
 ARCH_CNN = "cnn_har"
 ARCH_MLP = "mlp"
 
@@ -29,13 +32,7 @@ MLP_DENSE = (64, 32)
 BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
 
-CHECKPOINT_MAGIC = b"FKDX0001"
-# the meta block's entry naming the compute dtype; absent means float64
-CHECKPOINT_DTYPE_KEY = "dtype"
-COMPUTE_DTYPES = ("float32", "float64")
-
-# numpy's limit on array rank; a stored shape with more dims is corrupt
-MAX_DIMS = 64
+CHECKPOINT_MAGIC = b"FKDX0002"
 
 MODE_TRAIN = "train"
 MODE_EVAL = "eval"
@@ -193,7 +190,7 @@ def layout(arch: str, meta: dict) -> tuple[list, list]:
     of its running statistics, as its meta dict sizes them.
 
     Integer arithmetic only, so a checkpoint's meta block is checked against
-    the records read without allocating anything it names.
+    the tensors read without allocating anything it names.
     """
     if arch not in (ARCH_CNN, ARCH_MLP):
         raise ArchitectureError(f"unknown architecture {arch!r}")
@@ -480,142 +477,58 @@ def backward(params: ModelParams, trace: ForwardTrace, grad_logits: np.ndarray,
 
 # ------------------------------------------------------------- checkpoint
 
-def _pack_record(kind: int, name: str, values: np.ndarray) -> bytes:
-    nb = name.encode("utf-8")
-    head = struct.pack("<BH", kind, len(nb)) + nb
-    dims = struct.pack("<B", values.ndim) + struct.pack(f"<{values.ndim}I", *values.shape)
-    return head + dims + np.ascontiguousarray(values, dtype="<f8").tobytes()
-
-
 def save_checkpoint(model: Model, path: str) -> None:
     """Serialize parameters and running statistics: versioned magic header,
-    architecture tag, meta block, then length-prefixed little-endian float64
-    layer records.  A float32 model's records hold its values widened, which
-    is exact, and its meta block names the dtype; a float64 model's names
-    none, the default."""
+    architecture tag, meta block, then one packet of raw entries, the
+    parameters and then the statistics in ``layout`` order, at the wire
+    precision of the compute dtype."""
     params = model.params
     arch_b = params.arch.encode("utf-8")
-    meta = params.meta
-    if params.dtype != np.float64:
-        meta = {**meta, CHECKPOINT_DTYPE_KEY: params.dtype.name}
-    meta_b = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    out = [CHECKPOINT_MAGIC, struct.pack("<H", len(arch_b)), arch_b,
-           struct.pack("<I", len(meta_b)), meta_b,
-           struct.pack("<I", len(params.layers) + len(model.bn))]
-    for l in params.layers:
-        out.append(_pack_record(0, l.name, l.values))
-    for name in sorted(model.bn):
-        out.append(_pack_record(1, name, model.bn[name]))
-    blob = b"".join(out)
+    meta_b = json.dumps(params.meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    precision = next(p for p, wire in WIRE_DTYPE.items() if wire == params.dtype)
+    _, stat_layout = layout(params.arch, params.meta)
+    tensors = [(l.name, l.values) for l in params.layers] \
+        + [(name, model.bn[name]) for name, _ in stat_layout]
+    packet = encode_packet(GradientPacket([raw_entry(name, values, precision)
+                                           for name, values in tensors]))
+    blob = b"".join([CHECKPOINT_MAGIC, struct.pack("<H", len(arch_b)), arch_b,
+                     struct.pack("<I", len(meta_b)), meta_b, packet])
     with open(path, "wb") as fh:
         fh.write(blob)
-
-
-class ByteReader:
-    """Bounded reads over untrusted bytes, raising the format's own error
-    class.  Lengths are checked before anything is sliced or allocated, and
-    element counts are Python ints, so a hostile shape cannot wrap to 0."""
-
-    def __init__(self, buf: bytes, error: type[Exception], dim_count: str):
-        # dim_count: struct format of the count that prefixes each shape
-        self.buf, self.pos, self.error, self.dim_count = buf, 0, error, dim_count
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise self.error(f"truncated {what}: wanted {n} bytes at offset {self.pos}, "
-                             f"have {len(self.buf) - self.pos}")
-        chunk = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def unpack(self, fmt: str, what: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
-
-    def text(self, n: int, what: str) -> str:
-        try:
-            return self.take(n, what).decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise self.error(f"{what} is not UTF-8: {e}") from e
-
-    def shape(self, what: str) -> tuple[tuple[int, ...], int]:
-        """A dim count, then that many u32 dims; returns (dims, element count)."""
-        (ndim,) = self.unpack(self.dim_count, f"{what} dim count")
-        if ndim > MAX_DIMS:
-            raise self.error(f"{what}: {ndim} dims, at most {MAX_DIMS}")
-        dims = self.unpack(f"<{ndim}I", f"{what} dims") if ndim else ()
-        return dims, math.prod(dims)
-
-    def array(self, count: int, dtype: np.dtype, what: str) -> np.ndarray:
-        return np.frombuffer(self.take(count * dtype.itemsize, what), dtype=dtype).copy()
-
-    def finish(self, what: str) -> None:
-        if self.pos != len(self.buf):
-            raise self.error(f"{len(self.buf) - self.pos} trailing bytes after last {what}")
 
 
 def load_checkpoint(path: str) -> Model:
     """The model ``save_checkpoint`` wrote, in the compute dtype it had."""
     with open(path, "rb") as fh:
-        r = ByteReader(fh.read(), CheckpointError, "<B")
-    magic = r.take(len(CHECKPOINT_MAGIC), "checkpoint magic")
+        r = ByteReader(fh.read(), CheckpointError)
+    magic = bytes(r.take(len(CHECKPOINT_MAGIC), "checkpoint magic"))
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
     (arch_len,) = r.unpack("<H", "architecture tag length")
     arch = r.text(arch_len, "architecture tag")
     (meta_len,) = r.unpack("<I", "meta block length")
     try:
-        meta = json.loads(r.take(meta_len, "meta block").decode("utf-8"))
+        meta = json.loads(r.text(meta_len, "meta block"))
     except ValueError as e:
         raise CheckpointError(f"unreadable meta block: {e}") from e
-    # a meta block that is not an object fails the structure check below
-    dtype = meta.pop(CHECKPOINT_DTYPE_KEY, "float64") if isinstance(meta, dict) else "float64"
-    if dtype not in COMPUTE_DTYPES:
-        raise CheckpointError(f"compute dtype {dtype!r} in the meta block is not one "
-                              f"of {COMPUTE_DTYPES}")
-    (n_records,) = r.unpack("<I", "record count")
-    layers, stats = [], []
-    for i in range(n_records):
-        kind, name_len = r.unpack("<BH", f"record {i} header")
-        name = r.text(name_len, f"record {i} layer name")
-        dims, count = r.shape(f"layer {name!r}")
-        values = _narrow(r.array(count, np.dtype("<f8"), f"layer {name!r} values"),
-                         dtype, name).reshape(dims)
-        if kind == 0:
-            layers.append(LayerParam(name, values))
-        elif kind == 1:
-            stats.append((name, values))
-        else:
-            raise CheckpointError(f"unknown record kind {kind} for layer {name!r}")
-    r.finish("record")
-
     try:
-        params = ModelParams(arch, layers, meta)
-    except ValueError as e:  # duplicate layer names
-        raise CheckpointError(f"bad layer records: {e}") from e
-    _validate_structure(params, stats)
-    return Model(params, dict(stats))
+        entries = decode_packet(r.rest()).entries
+    except CodecError as e:
+        raise CheckpointError(f"bad tensor packet: {e}") from e
 
-
-def _narrow(values: np.ndarray, dtype: str, name: str) -> np.ndarray:
-    """Float64 record values in the compute dtype; each must be a value of it."""
-    if dtype == "float64":
-        return values
-    with np.errstate(over="ignore"):
-        narrow = values.astype(dtype)
-    if not np.array_equal(narrow, values, equal_nan=True):
-        raise CheckpointError(f"layer {name!r} holds values that are not {dtype}")
-    return narrow
-
-
-def _validate_structure(params: ModelParams, stats: list) -> None:
-    """Compare the records read with the layout the meta block gives;
-    catches structurally corrupt files with intact framing."""
+    # the layout is integer arithmetic: a meta dim no entry carries sizes nothing
     try:
-        want_params, want_stats = layout(params.arch, params.meta)
+        want_params, want_stats = layout(arch, meta)
     except (KeyError, TypeError, ArchitectureError) as e:
         raise CheckpointError(f"inconsistent checkpoint meta: {e}") from e
-    got = ([(l.name, l.shape) for l in params.layers],
-           sorted((name, v.shape) for name, v in stats))
+    got = [(e.name, e.shape) for e in entries]
     # print the meta, not the shapes it gives: those can be too long for str()
-    if got != (want_params, sorted(want_stats)):
-        raise CheckpointError(f"records {got} do not match the checkpoint meta {params.meta}")
+    if got != want_params + want_stats:
+        raise CheckpointError(f"tensors {got} do not match the checkpoint meta {meta}")
+    kinds = {(e.mode, e.precision) for e in entries}
+    if len(kinds) != 1 or next(iter(kinds))[0] != MODE_RAW:
+        raise CheckpointError(f"tensors must be raw entries of one precision, got "
+                              f"(mode, precision) pairs {sorted(kinds)}")
+    n = len(want_params)
+    return Model(ModelParams(arch, [LayerParam(e.name, e.raw) for e in entries[:n]], meta),
+                 {e.name: e.raw for e in entries[n:]})

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from fedkdx.cli import main
-from fedkdx.config import (ConfigError, config_from_dict, load_config, point_label,
-                           sweep_points)
+from fedkdx.config import (MAX_LABEL_BYTES, ConfigError, DatasetConfig, config_from_dict,
+                           load_config, point_label, sweep_points)
 from fedkdx.experiment import (CSV_COLUMNS, build_experiment, run_experiment,
                                version_string, write_partition_table)
 from fedkdx.federation import STRATEGIES, RoundError, evaluate, run_round
@@ -302,6 +302,47 @@ def test_sweep_points_need_distinct_labels(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_sweep_points_are_checked_as_they_run(tmp_path, capsys):
+    # a ucihar base echoes its dataset as {kind, root}: a point that switches
+    # it to synthetic is checked, and runs, with the synthetic defaults
+    har = {"kind": "ucihar", "root": "x"}
+    for num_classes in (5, 1):
+        cfg = config_from_dict({**fast_raw(), "dataset": {**har, "num_classes": num_classes},
+                                "sweep": [{"dataset": {"kind": "synthetic"}}]})
+        assert cfg.dataset.num_classes == num_classes
+        [(_, point)] = sweep_points(cfg)
+        assert point.dataset == DatasetConfig(kind="synthetic", root="x")
+    cfg_path = write_yaml(tmp_path, {**fast_raw(rounds=1), "dataset": {**har, "num_classes": 5},
+                                     "sweep": [{"dataset": {"kind": "synthetic"}}]})
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
+    with open(out / "dataset.kind=synthetic_seed0" / "summary.json") as fh:
+        assert json.load(fh)["config"]["dataset"]["num_classes"] == 3
+    capsys.readouterr()
+    # a base that names no dataset kind reports it once, not once per point
+    for dataset, problem in (({"root": "x"}, "dataset.kind: required"),
+                             (5, "dataset: expected dict, got int")):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"dataset": dataset,
+                              "sweep": [{"join_ratio": 0.5}, {"join_ratio": 1.0}]})
+        assert err.value.problems == [problem]
+
+
+def test_a_point_label_too_long_for_a_file_name_is_refused(tmp_path, capsys):
+    # <label>_seed<k> must fit 255 bytes for any 64-bit seed k
+    root = "r" * (MAX_LABEL_BYTES - len("dataset.root="))
+    config_from_dict({**fast_raw(), "sweep": [{"dataset": {"root": root}}]})
+    cfg_path = write_yaml(tmp_path, {**fast_raw(rounds=1), "sweep": [
+        {"join_ratio": 0.5}, {"dataset": {"kind": "ucihar", "root": "r" * 300}}]})
+    out = tmp_path / "long"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
+    assert (f"sweep[1]: its label is 333 bytes, at most {MAX_LABEL_BYTES} fit a run "
+            "directory's name") in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match=r"sweep\[0\]: its label is 231 bytes"):
+        config_from_dict({**fast_raw(), "sweep": [{"dataset": {"root": root + "r"}}]})
+
+
 CONFIG_DIR = Path(__file__).parent.parent / "scripts" / "configs"
 
 # the points each committed sweep config runs
@@ -310,7 +351,6 @@ SWEEP_LABELS = {
     "sweep_components.yaml": ["enable_nkd=false+enable_ctl=false",
                               "enable_nkd=true+enable_ctl=false",
                               "enable_nkd=true+enable_ctl=true"],
-    "sweep_strategy.yaml": [f"strategy={s}" for s in STRATEGIES],
     "sweep_alpha.yaml": [f"strategy={s}+partition.alpha={a}"
                          for a in ("0.1", "0.5", "1.0") for s in STRATEGIES],
 }
@@ -320,10 +360,9 @@ def test_committed_configs_load_and_echo():
     for path in sorted(CONFIG_DIR.glob("*.yaml")):
         cfg = load_config(str(path))
         assert config_from_dict(cfg.to_dict()) == cfg, path.name
-    # the strategy and label-skew studies run the acceptance gates' setup
-    base = config_from_dict(copy.deepcopy(STUDY_RAW))
-    for name in ("sweep_strategy.yaml", "sweep_alpha.yaml"):
-        assert dataclasses.replace(load_config(str(CONFIG_DIR / name)), sweep=None) == base
+    # the label-skew study runs the acceptance gates' setup
+    assert dataclasses.replace(load_config(str(CONFIG_DIR / "sweep_alpha.yaml")),
+                               sweep=None) == config_from_dict(copy.deepcopy(STUDY_RAW))
 
 
 def test_committed_sweeps_run_each_point_at_each_seed_alike_on_one_and_two_threads(
@@ -355,7 +394,7 @@ def test_committed_configs_parse_alike_with_either_yaml_loader():
     if not hasattr(yaml, "CSafeLoader"):
         pytest.skip("PyYAML was built without libyaml")
     paths = sorted(CONFIG_DIR.glob("*.yaml"))
-    assert len(paths) == 6
+    assert len(paths) == 5
     for path in paths:
         text = path.read_text()
         assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)

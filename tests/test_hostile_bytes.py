@@ -1,10 +1,10 @@
-"""Mutation fuzzing of the two byte formats read from outside a run: uplink
-packets and checkpoints.  Every mutant of a valid input either decodes or
-raises the format's own error, never anything else.  Label and subject
+"""Mutation fuzzing of the bytes read from outside a run: uplink packets
+and checkpoints, whose tensors are one packet behind a header.  Every
+mutant of a valid input either decodes or raises the format's own error,
+never anything else.  Label and subject
 files whose ids do not fit int64, and labels beyond the six activities, are
 refused with the loader's own error."""
 
-import json
 import os
 import struct
 
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedkdx.compression import (MODE_RAW, CodecError, CompressionPolicy,
+from fedkdx.compression import (MODE_RAW, PACKET_MAGIC, CodecError, CompressionPolicy,
                                 compress_gradient, decode_packet, encode_packet)
 from fedkdx.data import DataError, load_ucihar
 from fedkdx.nn import (CheckpointError, LayerParam, ModelParams, build_cnn_har,
@@ -73,62 +73,67 @@ def test_mutated_packets_decode_or_raise_codec_error(blob):
 
 
 @pytest.fixture(scope="module")
-def checkpoint(tmp_path_factory):
-    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
-    save_checkpoint(build_mlp(4, 3, seed=0), str(path))
-    return path
+def checkpoints(tmp_path_factory):
+    """The paths of a float64 MLP checkpoint and of a float32 small-CNN one."""
+    root = tmp_path_factory.mktemp("ckpt")
+    out = {}
+    for name, model in (("mlp", build_mlp(4, 3, seed=0)),
+                        ("cnn", build_cnn_har(2, 28, 3, seed=0, dtype=np.float32))):
+        out[name] = root / f"{name}.ckpt"
+        save_checkpoint(model, str(out[name]))
+    return out
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_mutated_checkpoints_load_or_raise_checkpoint_error(checkpoint, data):
-    blob = data.draw(mutants(checkpoint.read_bytes()))
-    path = checkpoint.with_name("mutant.ckpt")
-    path.write_bytes(blob)
+def _load_mutant(path, data):
+    blob = data.draw(mutants(path.read_bytes()))
+    mutant = path.with_name("mutant.ckpt")
+    mutant.write_bytes(blob)
     try:
-        load_checkpoint(str(path))
+        load_checkpoint(str(mutant))
     except CheckpointError:
         pass
 
 
-def _with_meta(blob: bytes, **entries) -> bytes:
-    """A checkpoint's bytes with entries set in its meta block."""
-    # magic 8, arch u16 + tag, then the meta block's u32 length and text
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoints_load_or_raise_checkpoint_error(checkpoints, data):
+    _load_mutant(checkpoints["mlp"], data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_float32_cnn_checkpoints_load_or_raise_checkpoint_error(checkpoints, data):
+    _load_mutant(checkpoints["cnn"], data)
+
+
+def _precision_offsets(blob: bytes) -> list[int]:
+    """The offset of each tensor's precision byte in a checkpoint."""
     at = 10 + struct.unpack("<H", blob[8:10])[0]
-    (n,) = struct.unpack("<I", blob[at:at + 4])
-    meta = json.dumps({**json.loads(blob[at + 4:at + 4 + n]), **entries}).encode()
-    return blob[:at] + struct.pack("<I", len(meta)) + meta + blob[at + 4 + n:]
+    at += 4 + struct.unpack("<I", blob[at:at + 4])[0]
+    entries = decode_packet(blob[at:]).entries
+    at += len(PACKET_MAGIC) + 4  # magic, entry count
+    offsets = []
+    for e in entries:
+        at += 2 + len(e.name.encode())
+        offsets.append(at + 1)
+        at += 2 + 4 + 4 * len(e.shape) + e.raw.nbytes
+    assert at == len(blob)
+    return offsets
 
 
-@pytest.mark.parametrize("dtype", ["float16", "int32", "", 32, None, ["float32"]])
-def test_a_checkpoint_dtype_that_is_not_float32_or_float64_is_refused(tmp_path, dtype):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(build_cnn_har(2, 28, 3, seed=0, dtype=np.float32), str(path))
-    assert b'"dtype":"float32"' in path.read_bytes()
-    path.write_bytes(_with_meta(path.read_bytes(), dtype=dtype))
-    with pytest.raises(CheckpointError, match="compute dtype"):
-        load_checkpoint(str(path))
-
-
-def test_float32_records_must_hold_float32_values(tmp_path):
-    # float64 weights drawn at random are almost never float32 values
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(build_mlp(4, 3, seed=0), str(path))
-    path.write_bytes(_with_meta(path.read_bytes(), dtype="float32"))
-    with pytest.raises(CheckpointError, match="not float32"):
-        load_checkpoint(str(path))
-    # a value beyond float32's range is refused the same way, without a warning
-    model = build_mlp(4, 3, seed=0)
-    for layer in model.params.layers:
-        layer.values = layer.values.astype(np.float32).astype(np.float64)
-    save_checkpoint(model, str(path))
-    path.write_bytes(_with_meta(path.read_bytes(), dtype="float32"))
-    assert load_checkpoint(str(path)).params.dtype == np.float32
-    model.params.layers[0].values[0, 0] = 1e39
-    save_checkpoint(model, str(path))
-    path.write_bytes(_with_meta(path.read_bytes(), dtype="float32"))
-    with pytest.raises(CheckpointError, match="'fc1.w' holds values that are not float32"):
-        load_checkpoint(str(path))
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+def test_a_flipped_precision_code_loads_or_raises_checkpoint_error(checkpoints, tmp_path, arch):
+    blob = checkpoints[arch].read_bytes()
+    path = tmp_path / "flipped.ckpt"
+    for at in _precision_offsets(blob):
+        for bit in range(8):
+            flipped = bytearray(blob)
+            flipped[at] ^= 1 << bit
+            path.write_bytes(bytes(flipped))
+            try:
+                load_checkpoint(str(path))
+            except CheckpointError:
+                pass
 
 
 # integral, so they pass the integer check, but an int64 cast would wrap them

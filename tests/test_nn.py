@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fedkdx.compression import compress_layer
 from fedkdx.linalg import finite_diff_grad
 from fedkdx.nn import (
     CONV_KERNEL,
@@ -25,6 +26,8 @@ from fedkdx.nn import (
     save_checkpoint,
 )
 from fedkdx.nn import _conv1d, _conv1d_backward, _maxpool2, _maxpool2_backward  # noqa: F401 - oracle targets
+from fedkdx.wire import (MODE_RAW, GradientPacket, PacketEntry, decode_packet, encode_packet,
+                         raw_entry)
 from helpers import package_env, params_equal, rel_err
 
 
@@ -456,13 +459,22 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
         assert np.array_equal(loaded.bn[k], model.bn[k])
 
 
+def _split_checkpoint(blob: bytes) -> tuple[bytes, bytes]:
+    """A checkpoint's bytes as (header, tensor packet): magic 8, arch u16 +
+    tag and meta u32 + block make the header."""
+    meta_at = 10 + struct.unpack("<H", blob[8:10])[0]
+    (meta_len,) = struct.unpack("<I", blob[meta_at:meta_at + 4])
+    at = meta_at + 4 + meta_len
+    return blob[:at], blob[at:]
+
+
 def test_float32_checkpoint_reloads_in_float32_bitwise(tmp_path):
     model = build_cnn_har(2, 28, 3, seed=6, dtype=np.float32)
     forward(model, np.random.default_rng(0).normal(size=(8, 2, 28)), "train")
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
-    assert loaded.params.meta == model.params.meta  # the dtype entry is not meta
+    assert loaded.params.meta == model.params.meta  # the meta block names no dtype
     assert loaded.params.dtype == np.float32
     assert params_equal(loaded.params, model.params)
     for k in model.bn:
@@ -470,53 +482,84 @@ def test_float32_checkpoint_reloads_in_float32_bitwise(tmp_path):
         assert loaded.bn[k].tobytes() == model.bn[k].tobytes()
 
 
+@pytest.mark.parametrize("dtype, precision", [(np.float64, "f64"), (np.float32, "f32")])
+def test_a_checkpoint_is_a_header_and_one_raw_packet(tmp_path, dtype, precision):
+    model = build_cnn_har(2, 28, 3, seed=6, dtype=dtype)
+    forward(model, np.random.default_rng(0).normal(size=(8, 2, 28)), "train")
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(model, path)
+    header, packet = _split_checkpoint(open(path, "rb").read())
+    meta = b'{"feature_dim":128,"in_channels":2,"in_length":28,"num_classes":3}'
+    assert header == (b"FKDX0002" + struct.pack("<H", 7) + b"cnn_har"
+                      + struct.pack("<I", len(meta)) + meta)
+    # the parameters, then the statistics, raw at the compute dtype's width
+    stats = ["bn1.running_mean", "bn1.running_var", "bn2.running_mean", "bn2.running_var"]
+    tensors = [(l.name, l.values) for l in model.params.layers] \
+        + [(name, model.bn[name]) for name in stats]
+    assert packet == encode_packet(GradientPacket(
+        [raw_entry(name, values, precision) for name, values in tensors]))
+
+
 def test_checkpoint_rejects_corruption(tmp_path):
     model = build_mlp(4, 3, seed=0)
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(model, path)
     raw = open(path, "rb").read()
+    header, packet = _split_checkpoint(raw)
+    entries = decode_packet(packet).entries
 
-    bad_magic = str(tmp_path / "bad_magic.ckpt")
-    open(bad_magic, "wb").write(b"XXXX0000" + raw[8:])
-    with pytest.raises(CheckpointError):
-        load_checkpoint(bad_magic)
+    def load(blob, match=None):
+        bad = str(tmp_path / "bad.ckpt")
+        open(bad, "wb").write(blob)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(bad)
 
-    truncated = str(tmp_path / "short.ckpt")
-    open(truncated, "wb").write(raw[:len(raw) // 2])
-    with pytest.raises(CheckpointError):
-        load_checkpoint(truncated)
-
-    trailing = str(tmp_path / "long.ckpt")
-    open(trailing, "wb").write(raw + b"\x00")
-    with pytest.raises(CheckpointError):
-        load_checkpoint(trailing)
-
-    renamed = str(tmp_path / "renamed.ckpt")
+    load(b"XXXX0000" + raw[8:], "bad magic")
+    load(raw[:len(raw) // 2], "truncated")
+    load(raw + b"\x00", "trailing")
     # layer names are length-prefixed ascii; corrupt one in place
-    open(renamed, "wb").write(raw.replace(b"fc1.w", b"fc9.w", 1))
-    with pytest.raises(CheckpointError):
-        load_checkpoint(renamed)
+    load(raw.replace(b"fc1.w", b"fc9.w", 1), "do not match the checkpoint meta")
 
     # a running statistic with the right name and the wrong length
     cnn = small_cnn()
     cnn.bn["bn1.running_mean"] = np.zeros(5)
-    short_stats = str(tmp_path / "short_stats.ckpt")
-    save_checkpoint(cnn, short_stats)
-    with pytest.raises(CheckpointError, match="do not match the checkpoint meta"):
-        load_checkpoint(short_stats)
+    save_checkpoint(cnn, path)
+    load(open(path, "rb").read(), "do not match the checkpoint meta")
 
-    # the last running statistic stored twice, the record count raised to match
-    save_checkpoint(small_cnn(), short_stats)
-    blob = open(short_stats, "rb").read()
-    arch_len = struct.unpack("<H", blob[8:10])[0]
-    count_at = 14 + arch_len + struct.unpack("<I", blob[10 + arch_len:14 + arch_len])[0]
-    (count,) = struct.unpack("<I", blob[count_at:count_at + 4])
-    last = blob.rindex(b"bn2.running_var") - 3  # record kind u8, name length u16
-    twice = str(tmp_path / "twice.ckpt")
-    open(twice, "wb").write(blob[:count_at] + struct.pack("<I", count + 1)
-                            + blob[count_at + 4:] + blob[last:])
-    with pytest.raises(CheckpointError, match="do not match the checkpoint meta"):
-        load_checkpoint(twice)
+    # the last running statistic stored twice
+    save_checkpoint(small_cnn(), path)
+    cnn_header, cnn_packet = _split_checkpoint(open(path, "rb").read())
+    twice = decode_packet(cnn_packet)
+    twice.entries.append(twice.entries[-1])
+    load(cnn_header + encode_packet(twice), "do not match the checkpoint meta")
+
+    # a factored entry of the right shape
+    rng = np.random.default_rng(0)
+    factored, _ = compress_layer("fc1.w", np.outer(rng.normal(size=4), rng.normal(size=64)),
+                                 0.9, "f64")
+    assert factored.mode != MODE_RAW
+    load(header + encode_packet(GradientPacket([factored] + entries[1:])), "raw entries")
+
+    # one entry at another precision than the rest
+    mixed = [raw_entry(e.name, e.raw, "f32" if i == 1 else "f64")
+             for i, e in enumerate(entries)]
+    load(header + encode_packet(GradientPacket(mixed)), "one precision")
+
+    # a non-finite value, now refused by the packet decoder
+    model.params.layers[0].values[0, 0] = np.nan
+    save_checkpoint(model, path)
+    load(open(path, "rb").read(), "non-finite")
+
+    # the previous format: float64 records, each behind a kind byte and a u8 dim count
+    meta_b = json.dumps(build_mlp(4, 3, seed=0).params.meta).encode()
+    tensors = [(0, e.name, e.raw) for e in entries]
+    old = [b"FKDX0001", struct.pack("<H", 3), b"mlp", struct.pack("<I", len(meta_b)), meta_b,
+           struct.pack("<I", len(tensors))]
+    for kind, name, values in tensors:
+        old += [struct.pack("<BH", kind, len(name)), name.encode(),
+                struct.pack(f"<B{values.ndim}I", values.ndim, *values.shape),
+                values.astype("<f8").tobytes()]
+    load(b"".join(old), "bad magic")
 
 
 def test_checkpoint_rejects_oversize_dims_and_malformed_text(tmp_path):
@@ -524,30 +567,30 @@ def test_checkpoint_rejects_oversize_dims_and_malformed_text(tmp_path):
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(model, path)
     raw = open(path, "rb").read()
-    # magic 8, arch u16 + tag, meta u32 + block, record count u32
-    arch_len = struct.unpack("<H", raw[8:10])[0]
-    meta_at = 10 + arch_len
-    meta_len = struct.unpack("<I", raw[meta_at:meta_at + 4])[0]
-    first_record = meta_at + 4 + meta_len + 4
+    header, packet = _split_checkpoint(raw)
+    meta_at = 10 + struct.unpack("<H", raw[8:10])[0]
 
-    def with_in_dim(n):
-        meta = json.dumps({**model.params.meta, "in_dim": n}).encode()
-        return raw[:meta_at] + struct.pack("<I", len(meta)) + meta + raw[meta_at + 4 + meta_len:]
+    def with_meta(meta):
+        meta_b = json.dumps(meta).encode()
+        return raw[:meta_at] + struct.pack("<I", len(meta_b)) + meta_b + packet
+
+    def first_entry(shape):
+        # an fc1.w entry that names ``shape`` and carries no values
+        return header + encode_packet(GradientPacket(
+            [PacketEntry("fc1.w", shape, MODE_RAW, "f64", raw=np.empty(0))]))
 
     cases = {
         # four dims of 65536: their element count wraps to 0 in int64
-        "huge": raw[:first_record] + struct.pack("<BH", 0, 5) + b"fc1.w"
-                + struct.pack("<B4I", 4, *(65536,) * 4),
+        "huge": first_entry((65536,) * 4),
         # more dims than numpy allows, with no values to read (one dim is 0)
-        "ndim": raw[:first_record] + struct.pack("<BH", 0, 5) + b"fc1.w"
-                + struct.pack("<B100I", 100, 0, *(1,) * 99),
+        "ndim": first_entry((0,) + (1,) * 99),
         "duplicate": raw.replace(b"fc1.b", b"fc1.w"),
         "arch": raw[:10] + b"\xff" + raw[11:],
         "name": raw.replace(b"fc1.w", b"\xffc1.w", 1),
         # a meta block that parses but is not an object
-        "meta": raw[:meta_at] + struct.pack("<I", 2) + b"[]" + raw[meta_at + 4 + meta_len:],
-        # meta dims that no record carries must not size an allocation
-        "in_dim": with_in_dim(10**12),
+        "meta": with_meta([]),
+        # meta dims that no entry carries must not size an allocation
+        "in_dim": with_meta({**model.params.meta, "in_dim": 10**12}),
     }
     for label, blob in cases.items():
         bad = str(tmp_path / f"{label}.ckpt")
@@ -556,13 +599,14 @@ def test_checkpoint_rejects_oversize_dims_and_malformed_text(tmp_path):
             load_checkpoint(bad)
 
     # rejecting a large meta dim costs about the file's size, not the dim's
-    bad = str(tmp_path / "wide.ckpt")
-    open(bad, "wb").write(with_in_dim(200000))
-    tracemalloc.start()
-    try:
-        with pytest.raises(CheckpointError, match="meta"):
-            load_checkpoint(bad)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    for in_dim in (200000, 10**12):
+        bad = str(tmp_path / "wide.ckpt")
+        open(bad, "wb").write(with_meta({**model.params.meta, "in_dim": in_dim}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="meta"):
+                load_checkpoint(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, in_dim
