@@ -5,8 +5,8 @@ gradients travel through an energy-thresholded low-rank codec, the server
 averages and redistributes them, and everything stays bit-reproducible
 for a fixed seed.
 
-Submodules: linalg, losses, nn, compression, metrics, data, federation,
-config, experiment, cli.
+Submodules: linalg, losses, wire, nn, compression, metrics, data,
+federation, config, experiment, cli.
 """
 
 __version__ = "0.1.0"

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from fedkdx.metrics import (
     EvalBatch,
@@ -111,11 +114,43 @@ def test_auc_matches_pair_counting_oracle():
         per_class = [naive_auc(scores[:, k], labels == k)
                      for k in range(c)
                      if 0 < (labels == k).sum() < n]
-        import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = macro_auc_ovr(b)
         assert abs(got - np.mean(per_class)) < 1e-12
+
+
+def midrank_macro_auc(scores, labels):
+    """The rank-statistic form: (sum of the positives' midranks minus
+    n_pos(n_pos+1)/2) / (n_pos n_neg), averaged over the defined classes."""
+    aucs = []
+    for k in range(scores.shape[1]):
+        pos = labels == k
+        n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+        if n_pos and n_neg:
+            ranks = rankdata(scores[:, k])
+            aucs.append((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return float(np.mean(aucs))
+
+
+def test_auc_equals_the_midrank_form_bit_for_bit():
+    # both forms divide the same exact half-integer U by the same exact
+    # pair count, so the floats must be equal, not merely close
+    rng = np.random.default_rng(7)
+    cases = [(int(rng.integers(2, 400)), int(rng.integers(2, 7)), tied)
+             for tied in (False, True) for _ in range(150)]
+    cases += [(10_000, 6, False), (10_000, 6, True)]
+    for n, c, tied in cases:
+        scores = rng.dirichlet(np.full(c, 0.5), size=n)
+        if tied:  # one decimal leaves at most a few dozen values per column
+            scores = np.round(scores, 1)
+            scores = scores / scores.sum(axis=1, keepdims=True)
+        labels = rng.integers(0, c, size=n)
+        labels[:2] = [0, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = macro_auc_ovr(EvalBatch(scores, labels))
+        assert got == midrank_macro_auc(scores, labels), (n, c, tied)
 
 
 def test_auc_warns_and_excludes_absent_classes():
