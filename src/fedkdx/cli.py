@@ -19,7 +19,7 @@ import dataclasses
 import os
 import sys
 
-from .config import ConfigError, RunConfig, load_config, sweep_points
+from .config import ConfigError, RunConfig, load_config, seed_problems, sweep_points
 from .experiment import run_experiment, write_partition_table
 
 EXIT_OK = 0
@@ -54,7 +54,7 @@ def _at_seeds(cfg: RunConfig, seeds: list[int] | None) -> list[RunConfig]:
     """``cfg`` at each of ``seeds``, or at its own seed when none is given."""
     if seeds is None:
         return [cfg]
-    problems = [f"--seed: must be >= 0, got {s}" for s in seeds if s < 0]
+    problems = [p for s in seeds for p in seed_problems(s, "--seed")]
     problems += [f"--seed: {s} given twice" for i, s in enumerate(seeds) if s in seeds[:i]]
     if problems:
         raise ConfigError(problems)

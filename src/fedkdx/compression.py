@@ -53,7 +53,8 @@ def select_rank(sigma: np.ndarray, eps: float) -> int:
     """Smallest rank whose cumulative squared energy strictly exceeds eps.
 
     Returns 0 for an all-zero spectrum (the caller sends the layer raw); a
-    threshold no prefix can strictly exceed keeps every component.
+    threshold no prefix can strictly exceed keeps every component.  The
+    caller has checked eps in (0, 1], as ``CompressionPolicy`` does.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.ndim != 1 or sigma.size == 0:
@@ -61,8 +62,6 @@ def select_rank(sigma: np.ndarray, eps: float) -> int:
     # a non-increasing vector is non-negative when its last entry is; NaN fails both
     if not (sigma[-1] >= 0 and (sigma[:-1] >= sigma[1:]).all()):
         raise ValueError("sigma must be non-negative and non-increasing")
-    if not (0.0 < eps <= 1.0):
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
     energy = sigma * sigma
     total = energy.sum()
     if total == 0.0:
@@ -172,7 +171,7 @@ def raw_packet(grads: ModelParams, policy: CompressionPolicy) -> GradientPacket:
 def decompress(pkt: GradientPacket, template: ModelParams) -> ModelParams:
     """Reconstruct a gradient with the template's layer structure, each
     layer in its template layer's dtype: a factored one is multiplied out
-    in that dtype."""
+    in that dtype, and a raw one already in it shares the entry's memory."""
     if [e.name for e in pkt.entries] != template.names():
         raise ValueError(
             f"packet layers {[e.name for e in pkt.entries]} do not match "
@@ -185,7 +184,7 @@ def decompress(pkt: GradientPacket, template: ModelParams) -> ModelParams:
                 f"expected {layer.values.shape}")
         dtype = layer.values.dtype
         if entry.mode == MODE_RAW:
-            rec = entry.raw.astype(dtype).reshape(entry.shape)
+            rec = entry.raw.astype(dtype, copy=False).reshape(entry.shape)
         else:
             u, s, vt = (a.astype(dtype, copy=False) for a in (entry.u, entry.sigma, entry.vt))
             rec = (u * s) @ vt

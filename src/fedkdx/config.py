@@ -29,9 +29,10 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 DATASET_KINDS = ("synthetic", "ucihar")
 
-# a sweep point runs in ``<label>_seed<k>/``; the name must fit the usual
-# 255-byte limit with room for any 64-bit seed
-MAX_LABEL_BYTES = 255 - len("_seed") - len(str(2**64))
+# seeds are 64-bit, and a sweep point runs in ``<label>_seed<k>/``: the
+# name must fit the usual 255-byte limit with room for any seed
+SEED_LIMIT = 2**64
+MAX_LABEL_BYTES = 255 - len("_seed") - len(str(SEED_LIMIT - 1))
 
 
 class ConfigError(ValueError):
@@ -192,7 +193,15 @@ def config_from_dict(raw: dict) -> RunConfig:
     return cfg
 
 
+def seed_problems(seed: int, path: str) -> list[str]:
+    """The seed rule, for the config's ``seed`` and the CLI's ``--seed``."""
+    if 0 <= seed < SEED_LIMIT:
+        return []
+    return [f"{path}: must be {'>= 0' if seed < 0 else '< 2**64'}, got {seed}"]
+
+
 def _range_problems(cfg: RunConfig) -> list[str]:
+    """Every run-setting rule: what is built from a config trusts its values."""
     problems = []
     if cfg.strategy not in STRATEGIES:
         problems.append(f"strategy: must be one of {STRATEGIES}, got {cfg.strategy!r}")
@@ -208,8 +217,7 @@ def _range_problems(cfg: RunConfig) -> list[str]:
         problems.append("lr_teacher/lr_student: must be >= 0")
     if cfg.fedprox_mu < 0:
         problems.append(f"fedprox_mu: must be >= 0, got {cfg.fedprox_mu}")
-    if cfg.seed < 0:
-        problems.append(f"seed: must be >= 0, got {cfg.seed}")
+    problems += seed_problems(cfg.seed, "seed")
     if cfg.dataset.kind == "synthetic":
         if cfg.dataset.num_classes < 2:
             problems.append(f"dataset.num_classes: must be >= 2, got {cfg.dataset.num_classes}")
@@ -219,7 +227,8 @@ def _range_problems(cfg: RunConfig) -> list[str]:
             problems.append(f"dataset.dims: must be >= {need} for "
                             f"{cfg.dataset.num_classes} classes, got {cfg.dataset.dims}")
         if cfg.dataset.samples_per_class < 1:
-            problems.append("dataset.samples_per_class: must be >= 1")
+            problems.append(f"dataset.samples_per_class: must be >= 1, "
+                            f"got {cfg.dataset.samples_per_class}")
         if cfg.dataset.separation < 0:
             problems.append(f"dataset.separation: must be >= 0, got {cfg.dataset.separation}")
     return problems

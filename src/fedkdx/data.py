@@ -159,11 +159,8 @@ def load_ucihar(root: str) -> np.recarray:
 
 def _simplex_means(num_classes: int, dims: int, separation: float) -> np.ndarray:
     """Regular simplex vertices with pairwise distance `separation`,
-    centered, embedded in the first num_classes-1 coordinates."""
-    if dims < num_classes - 1:
-        raise DataError(
-            f"dims must be >= num_classes-1 to hold a regular simplex, "
-            f"got dims={dims}, num_classes={num_classes}")
+    centered, embedded in the first num_classes-1 coordinates, of which
+    ``dims`` must hold at least that many."""
     scale = separation / np.sqrt(2.0)
     verts = np.eye(num_classes) * scale
     verts -= verts.mean(axis=0)
@@ -183,13 +180,9 @@ def make_synthetic(num_classes: int, dims: int, samples_per_class: int,
     Windows come out as (1, dims) rows for the dense-network path; the
     subject id is the class index.  separation=0 degenerates to
     indistinguishable classes, which some robustness checks rely on.
+    The caller has checked the settings, as ``config`` does: num_classes >=
+    2, dims >= num_classes - 1, samples_per_class >= 1, separation >= 0.
     """
-    if num_classes < 2:
-        raise DataError(f"num_classes must be >= 2, got {num_classes}")
-    if samples_per_class < 1:
-        raise DataError(f"samples_per_class must be >= 1, got {samples_per_class}")
-    if separation < 0:
-        raise DataError(f"separation must be >= 0, got {separation}")
     means = _simplex_means(num_classes, dims, separation)
     records = empty_dataset(num_classes * samples_per_class, (1, dims))
     records.label = np.repeat(np.arange(num_classes), samples_per_class)

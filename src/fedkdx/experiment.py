@@ -123,10 +123,16 @@ def record_row(rec: fed.RoundRecord) -> list[str]:
 # once per process: the code that runs is the code imported at its start
 @functools.cache
 def version_string() -> str:
+    """The package version, with ``+g<git describe>`` when the package runs
+    from its own checkout, ``<root>/src/fedkdx`` beside ``<root>/.git``.  A
+    copy anywhere else, inside another work tree too, runs no git."""
     base = f"fedkdx-{__version__}"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    root = os.path.dirname(src)
+    if os.path.basename(src) != "src" or not os.path.exists(os.path.join(root, ".git")):
+        return base
     try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             cwd=os.path.dirname(os.path.abspath(__file__)),
+        out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root,
                              capture_output=True, text=True, timeout=5)
         if out.returncode == 0 and out.stdout.strip():
             return f"{base}+g{out.stdout.strip()}"

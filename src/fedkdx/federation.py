@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,25 +82,19 @@ class ClientState:
 
 @dataclass
 class ServerState:
+    """The server's side of a run; ``config`` has checked its strategy,
+    ``total_rounds`` >= 1 and ``join_ratio`` in (0, 1]."""
     student: Model
     strategy: str
     policy: CompressionPolicy
     total_rounds: int
     join_ratio: float
     student_lr: float
+    sampler_rng: np.random.Generator  # a derived stream, never OS entropy
     compress: bool = True
     fedprox_mu: float = 0.0         # the proximal weight; 0 for all but FEDPROX
     local_epochs: int = 1
     round_index: int = 1            # next round to run, 1-based
-    sampler_rng: np.random.Generator = field(default_factory=np.random.default_rng)
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if not (0.0 < self.join_ratio <= 1.0):
-            raise ValueError(f"join_ratio must lie in (0, 1], got {self.join_ratio}")
-        if self.total_rounds < 1:
-            raise ValueError(f"total_rounds must be >= 1, got {self.total_rounds}")
 
 
 @dataclass
@@ -120,11 +114,9 @@ class RoundRecord:
 
 def sample_clients(client_ids: list[int], join_ratio: float,
                    rng: np.random.Generator) -> tuple[int, ...]:
-    """Uniform sample without replacement, at least one, ids ascending."""
-    if not client_ids:
-        raise ValueError("no clients to sample from")
-    if not (0.0 < join_ratio <= 1.0):
-        raise ValueError(f"join_ratio must lie in (0, 1], got {join_ratio}")
+    """Uniform sample without replacement, at least one, ids ascending.
+    The caller has checked that ``client_ids`` is not empty and that
+    ``join_ratio`` lies in (0, 1], as ``PartitionSpec`` and ``config`` do."""
     k = len(client_ids)
     m = max(1, int(np.floor(join_ratio * k + 0.5)))
     picked = rng.choice(np.sort(np.asarray(client_ids)), size=m, replace=False)

@@ -122,12 +122,12 @@ def encode_packet(pkt: GradientPacket) -> bytes:
         out.append(struct.pack("<BB", e.mode, _PRECISION_CODE[e.precision]))
         out.append(struct.pack("<I", len(e.shape)))
         out.append(struct.pack(f"<{len(e.shape)}I", *e.shape))
+        # C-contiguous arrays are bytes-like: the join is their one copy
         if e.mode == MODE_RAW:
-            out.append(np.ascontiguousarray(e.raw).tobytes())
+            out.append(np.ascontiguousarray(e.raw))
         else:
             out.append(struct.pack("<I", e.rank))
-            for arr in (e.u, e.sigma, e.vt):
-                out.append(np.ascontiguousarray(arr).tobytes())
+            out.extend(np.ascontiguousarray(a) for a in (e.u, e.sigma, e.vt))
     return b"".join(out)
 
 

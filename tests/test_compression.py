@@ -81,8 +81,6 @@ def test_select_rank_validation():
         select_rank(np.array([1.0, -0.5]), 0.5)
     with pytest.raises(ValueError):
         select_rank(np.array([]), 0.5)
-    with pytest.raises(ValueError):
-        select_rank(np.array([1.0]), 0.0)
     for with_nan in ([np.nan], [1.0, np.nan], [np.nan, 1.0]):
         with pytest.raises(ValueError):
             select_rank(np.array(with_nan), 0.5)
@@ -320,6 +318,17 @@ def test_codec_roundtrip_bitwise(precision):
         for a, b in zip(pkt.entries, back.entries):
             assert (a.name, a.shape, a.mode, a.precision) == \
                    (b.name, b.shape, b.mode, b.precision)
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_a_scalar_entry_round_trips(precision):
+    grads = grads_of([np.arange(6.0).reshape(2, 3), np.array(2.5)])
+    blob = encode_packet(raw_packet(grads, CompressionPolicy(wire_precision=precision)))
+    # the scalar goes last: no dims, then its one value
+    assert blob.endswith(struct.pack("<I", 0) + np.array(2.5, cp.WIRE_DTYPE[precision]).tobytes())
+    out = decompress(decode_packet(blob), grads.zeros_like())
+    assert out.get("layer1.w").shape == () and out.get("layer1.w") == 2.5
+    assert np.array_equal(out.get("layer0.w"), grads.get("layer0.w"))
 
 
 def test_decode_rejects_corruption():

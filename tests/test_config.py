@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -195,6 +196,21 @@ def test_dataset_section_rules():
         with pytest.raises(ConfigError) as err:
             config_from_dict(raw)
         assert err.value.problems == [problem]
+
+
+@pytest.mark.parametrize("raw, problem", [
+    ({"join_ratio": 0}, "join_ratio: must lie in (0, 1], got 0.0"),
+    ({"dataset": {**SMALL_SYNTH, "samples_per_class": 0}},
+     "dataset.samples_per_class: must be >= 1, got 0"),
+    ({"dataset": {**SMALL_SYNTH, "separation": -1}},
+     "dataset.separation: must be >= 0, got -1.0"),
+])
+def test_a_run_setting_out_of_range_names_its_path(raw, problem):
+    # config is the one check of these rules: the round loop and the
+    # synthetic generator take the values as given
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({**fast_raw(), **raw})
+    assert err.value.problems == [problem]
 
 
 def test_a_missing_dataset_kind_hides_no_other_problem():
@@ -617,6 +633,37 @@ def test_version_string_names_the_package():
     assert v.startswith("fedkdx-0.1.0")
 
 
+@pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
+def test_version_string_names_only_its_own_checkout(tmp_path):
+    package = Path(sys.modules[version_string.__module__].__file__).parent
+
+    def version_of_a_copy(repo, rel):
+        site = repo / rel
+        shutil.copytree(package, site / "fedkdx",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+               "-c", "commit.gpgsign=false"]
+        for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "c"]):
+            subprocess.run(git + args, check=True, capture_output=True)
+        head = subprocess.run(git + ["rev-parse", "HEAD"], check=True,
+                              capture_output=True, text=True).stdout.strip()
+        probe = ("import fedkdx.experiment as e; "
+                 "print(e.__file__); print(e.version_string())")
+        env = {**os.environ, "PYTHONPATH": str(site), "PYTHONDONTWRITEBYTECODE": "1"}
+        where, version = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                                        capture_output=True, text=True).stdout.split()
+        assert Path(where).is_relative_to(site)
+        return version, head
+
+    # a copy inside another repository names no commit of that repository
+    version, _ = version_of_a_copy(tmp_path / "outer", "site")
+    assert version == "fedkdx-0.1.0"
+    # a checkout, <root>/src/fedkdx beside <root>/.git, names its own
+    version, head = version_of_a_copy(tmp_path / "checkout", "src")
+    commit = version.removeprefix("fedkdx-0.1.0+g")
+    assert commit != version and head.startswith(commit)
+
+
 def test_partition_table_lists_counts_per_client(tmp_path):
     path = write_partition_table(make_config(), str(tmp_path))
     with open(path) as fh:
@@ -669,6 +716,34 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys, command):
     assert code == 2
     assert captured.err == "error: invalid configuration:\n  --seed: must be >= 0, got -1\n"
     assert not out.exists()
+
+
+def test_seeds_are_64_bit_in_the_config_and_on_the_command_line(tmp_path, capsys):
+    config_from_dict(fast_raw(seed=2**64 - 1))
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(fast_raw(seed=2**64))
+    assert err.value.problems == [f"seed: must be < 2**64, got {2**64}"]
+    big = write_yaml(tmp_path, fast_raw(rounds=1, seed=10**30), name="big.yaml")
+    ok = write_yaml(tmp_path, fast_raw(rounds=1), name="ok.yaml")
+    for command in ("run", "partition", "sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", big, "--out", str(out)]) == 2
+        assert f"seed: must be < 2**64, got {10**30}" in capsys.readouterr().err
+        assert main([command, "--config", ok, "--out", str(out), "--seed", str(2**64)]) == 2
+        assert f"--seed: must be < 2**64, got {2**64}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_the_longest_label_runs_at_the_largest_seed(tmp_path):
+    root = "r" * (MAX_LABEL_BYTES - len("dataset.root="))
+    cfg_path = write_yaml(tmp_path, {**fast_raw(rounds=1),
+                                     "sweep": [{"dataset": {"root": root}}]})
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out),
+                 "--seed", str(2**64 - 1)]) == 0
+    [run] = [name for name in os.listdir(out) if name != "sweep.csv"]
+    assert run == f"dataset.root={root}_seed{2**64 - 1}" and len(run) == 255
+    assert (out / run / "metrics.csv").exists()
 
 
 def test_cli_seed_override_changes_the_run(tmp_path):

@@ -35,8 +35,12 @@ def test_simplex_means_are_equidistant():
 
 
 def test_simplex_needs_enough_dimensions():
-    with pytest.raises(DataError):
-        _simplex_means(4, 2, separation=1.0)
+    # config refuses dims < num_classes - 1 (test_config); the fewest it
+    # accepts hold the simplex, and a zero separation puts every mean at 0
+    mu = _simplex_means(4, 3, separation=1.0)
+    assert np.abs(mu.mean(axis=0)).max() < 1e-9
+    assert all(abs(np.linalg.norm(mu[i] - mu[j]) - 1.0) < 1e-9
+               for i in range(4) for j in range(i + 1, 4))
     assert np.all(_simplex_means(3, 2, separation=0.0) == 0.0)
 
 
