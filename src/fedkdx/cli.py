@@ -35,7 +35,7 @@ def _add_common(p: argparse.ArgumentParser, threads: bool = True,
                    help="override config seed; sweep takes a list")
     if threads:
         p.add_argument("--threads", type=int, default=1,
-                       help="client threads per round (0 = auto)")
+                       help="client threads per round (0 = one per usable CPU)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,10 +65,15 @@ def _load(args) -> RunConfig:
     return _at_seeds(load_config(args.config), args.seed)[0]
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _resolve_threads(n: int) -> int:
     if n < 0:
         raise ConfigError([f"--threads: must be >= 0, got {n}"])
-    return n if n > 0 else (os.cpu_count() or 1)
+    return n or usable_cpus()
 
 
 def cmd_run(args) -> int:

@@ -9,11 +9,11 @@ round with the reconstruction of the downlink packet; the codec round-trips
 bitwise, so that is exactly what a client decoding the downlink bytes would
 apply, and one copy stands for all.
 
-Clients inside a round may execute on a thread pool.  Each owns its rng
-and, when distilling, its teacher exclusively, and only reads the shared
-student: evaluation mode forward and backward do not mutate it, and the
-averaging strategies train on a private copy.  The aggregation order is
-fixed by client id, so results are independent of thread count.
+Clients inside a round may execute on a thread pool.  ``forward`` and
+``backward`` never write a model; a model's owner stores what they return.
+Each client owns its rng and, when distilling, its teacher, and only
+reads the shared student; the averaging strategies train a private copy.
+Aggregating in client-id order keeps results independent of thread count.
 """
 
 from __future__ import annotations
@@ -135,10 +135,10 @@ def client_local_step_fedkdx(state: ClientState, student: Model,
     """One local epoch of mutual distillation.
 
     Per minibatch: forward teacher (training mode) and student (evaluation
-    mode, so the shared student's normalization state is never touched),
-    evaluate both sides' objectives on those outputs, step the teacher by
-    its gradient and accumulate the student's.  The teacher mutates in
-    place; the student is read-only here, its update arrives downlink.
+    mode), evaluate both sides' objectives on those outputs, step the
+    teacher by its gradient, store its new running statistics, and
+    accumulate the student's gradient.  The teacher mutates in place; the
+    student is read-only here, its update arrives downlink.
 
     Returns the student gradient averaged over minibatches.
     """
@@ -149,6 +149,7 @@ def client_local_step_fedkdx(state: ClientState, student: Model,
     for done, idx in enumerate(_epoch_batches(n, state.batch_size, state.rng), 1):
         xb = state.x_train[idx]
         t_tr = forward(state.teacher, xb, "train")
+        state.teacher.bn = t_tr.stats
         s_tr = forward(student, xb, "eval")
 
         (_, gl_t, gf_t), (_, gl_s, gf_s) = combined_loss(
@@ -179,6 +180,7 @@ def client_local_step_fedavg(state: ClientState, prox_mu: float,
     for _ in range(epochs):
         for idx in _epoch_batches(n, state.batch_size, state.rng):
             tr = forward(local, state.x_train[idx], "train")
+            local.bn = tr.stats
             _, gl = ce_batch(tr.logits, state.y_train[idx])
             grad = backward(local.params, tr, gl)
             if prox_mu != 0.0:

@@ -123,10 +123,9 @@ def params_iadd_scaled(dst: ModelParams, src: ModelParams, scale: float) -> None
 
 @dataclass
 class Model:
-    """Parameters plus per-instance batch-norm running statistics.
-
-    Running statistics are model state, not trainable parameters: they never
-    appear in gradients, uplink packets, or aggregation.
+    """Parameters plus per-instance batch-norm running statistics: state,
+    not trainable parameters, so never in gradients, packets or aggregation.
+    ``forward`` returns their update; only the model's owner stores it.
     """
 
     params: ModelParams
@@ -146,6 +145,7 @@ class ForwardTrace:
     features: np.ndarray    # (B, H)
     caches: dict
     layer_shapes: tuple     # fingerprint to pair trace with its params
+    stats: dict             # running statistics after the batch; eval mode: the model's own
 
 
 def cnn_shape_walk(in_channels: int, in_length: int) -> dict:
@@ -302,11 +302,11 @@ def _maxpool2(x):
 
 
 def forward(model: Model, x: np.ndarray, mode: str) -> ForwardTrace:
-    """Run the network on a batch.
+    """Run the network on a batch, as a pure function of (params, stats, x).
 
-    mode="train" normalizes with batch statistics and updates the model's
-    running statistics in place; mode="eval" is a pure function of
-    (params, x) that normalizes with the stored running statistics.
+    mode="train" normalizes with batch statistics, and the trace's ``stats``
+    is a new mapping of their momentum update; mode="eval" normalizes with
+    the model's running statistics, and ``stats`` is its own mapping.
     Computes in the parameters' dtype, to which ``x`` is cast.  Checks the
     input's shape only: the loaders check its values at load.
     """
@@ -315,6 +315,7 @@ def forward(model: Model, x: np.ndarray, mode: str) -> ForwardTrace:
     params = model.params
     x = np.asarray(x, dtype=params.dtype)
     caches: dict = {}
+    stats = {} if mode == MODE_TRAIN else model.bn
 
     m = params.meta
     if params.arch == ARCH_CNN:
@@ -325,13 +326,11 @@ def forward(model: Model, x: np.ndarray, mode: str) -> ForwardTrace:
         for blk in ("1", "2"):
             h, cols = _conv1d(h, params.get(f"conv{blk}.w"), params.get(f"conv{blk}.b"))
             caches[f"conv{blk}"] = cols
-            h, bn_cache, (nm, nv) = _bn_forward(
+            h, caches[f"bn{blk}"], (nm, nv) = _bn_forward(
                 h, params.get(f"bn{blk}.gamma"), params.get(f"bn{blk}.beta"), mode,
                 model.bn[f"bn{blk}.running_mean"], model.bn[f"bn{blk}.running_var"])
-            caches[f"bn{blk}"] = bn_cache
             if mode == MODE_TRAIN:
-                model.bn[f"bn{blk}.running_mean"] = nm
-                model.bn[f"bn{blk}.running_var"] = nv
+                stats[f"bn{blk}.running_mean"], stats[f"bn{blk}.running_var"] = nm, nv
             h *= h > 0
             h, pool_cache = _maxpool2(h)
             caches[f"pool{blk}"] = pool_cache
@@ -358,7 +357,7 @@ def forward(model: Model, x: np.ndarray, mode: str) -> ForwardTrace:
     caches["head.in"] = features
     logits = features @ params.get("head.w") + params.get("head.b")
     return ForwardTrace(params.arch, mode, logits, features, caches,
-                        tuple(l.values.shape for l in params.layers))
+                        tuple(l.values.shape for l in params.layers), stats)
 
 
 # --------------------------------------------------------------- backward

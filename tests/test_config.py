@@ -362,12 +362,15 @@ def test_a_point_label_too_long_for_a_file_name_is_refused(tmp_path, capsys):
 CONFIG_DIR = Path(__file__).parent.parent / "scripts" / "configs"
 
 # the points each committed sweep config runs
+# the α study's averaging points train 5 local epochs, FEDPROX with mu 1.0
+ALPHA_LOCAL = {"FEDAVG": "local_epochs=5+",
+               "FEDPROX": "local_epochs=5+fedprox_mu=1.0+"}
 SWEEP_LABELS = {
     "sweep_join.yaml": [f"join_ratio=0.{k}" for k in range(2, 9)],
     "sweep_components.yaml": ["enable_nkd=false+enable_ctl=false",
                               "enable_nkd=true+enable_ctl=false",
                               "enable_nkd=true+enable_ctl=true"],
-    "sweep_alpha.yaml": [f"strategy={s}+partition.alpha={a}"
+    "sweep_alpha.yaml": [f"strategy={s}+{ALPHA_LOCAL.get(s, '')}partition.alpha={a}"
                          for a in ("0.1", "0.5", "1.0") for s in STRATEGIES],
 }
 
@@ -836,6 +839,30 @@ def test_cli_threads_flag(tmp_path, capsys):
     assert "--threads: must be >= 0" in captured.err
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "t0"),
                  "--threads", "0"]) == 0
+
+
+def test_threads_zero_means_one_per_usable_cpu(tmp_path, monkeypatch, capsys):
+    from fedkdx import cli
+    seen = []
+
+    def record(cfg, out, threads):
+        seen.append(threads)
+        return {"rounds_completed": 0, "final": {"accuracy": 0.0}}
+
+    # no run starts, so no thread does
+    monkeypatch.setattr(cli, "run_experiment", record)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # the process may use one of the machine's two CPUs, as under taskset -c 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    cfg_path = write_yaml(tmp_path, fast_raw())
+    args = ["run", "--config", cfg_path, "--out", str(tmp_path / "out"), "--threads"]
+    assert main(args + ["0"]) == 0
+    # a platform with no affinity set counts every CPU
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert main(args + ["0"]) == 0
+    assert main(args + ["3"]) == 0
+    assert seen == [1, 2, 3]
+    capsys.readouterr()
 
 
 def test_cli_partition_command(tmp_path, capsys):

@@ -339,14 +339,17 @@ def test_client_steps_leave_the_shared_student_untouched():
     rng = np.random.default_rng(5)
     student = build_cnn_har(2, 28, 3, seed=1)
     # non-trivial running statistics, so an accidental update would show
-    forward(student, rng.normal(size=(8, 2, 28)), "train")
+    student.bn = forward(student, rng.normal(size=(8, 2, 28)), "train").stats
     st = ClientState(client_id=0, teacher=build_cnn_har(2, 28, 3, seed=2),
                      student_view=student, x_train=rng.normal(size=(10, 2, 28)),
                      y_train=rng.integers(0, 3, size=10),
                      rng=np.random.default_rng(6), teacher_lr=0.05,
                      student_lr=0.05, batch_size=4)
     snapshot = student.copy()
+    teacher_stats = st.teacher.bn
     client_local_step_fedkdx(st, st.student_view, loss_cfg())
+    # the teacher, which the client owns, keeps the statistics its forwards return
+    assert all(not np.array_equal(st.teacher.bn[k], v) for k, v in teacher_stats.items())
     client_local_step_fedavg(st, prox_mu=0.1, epochs=2)
     assert st.student_view is student
     assert params_equal(student.params, snapshot.params)
@@ -453,7 +456,7 @@ def test_evaluation_chunking_is_exact(monkeypatch):
 def test_cnn_evaluation_chunking_is_exact(monkeypatch):
     model = build_cnn_har(9, 128, 3, seed=9)
     rng = np.random.default_rng(10)
-    forward(model, rng.normal(size=(16, 9, 128)), "train")  # statistics off their init
+    model.bn = forward(model, rng.normal(size=(16, 9, 128)), "train").stats  # off their init
     budget = fed.EVAL_BYTES // widest_row_bytes(model.params)
     n = budget * 2 + 11  # two whole chunks and a short one
     x = rng.normal(size=(n, 9, 128))

@@ -237,31 +237,42 @@ def test_mlp_accepts_window_shaped_input():
     assert np.array_equal(tr_flat.logits, tr_win.logits)
 
 
-def test_eval_forward_is_pure():
-    model = small_cnn()
-    x = np.random.default_rng(3).normal(size=(4, 2, 28))
-    before = {k: v.copy() for k, v in model.bn.items()}
-    a = forward(model, x, "eval").logits
-    b = forward(model, x, "eval").logits
-    assert np.array_equal(a, b)
-    for k in before:
-        assert np.array_equal(model.bn[k], before[k])
+def bn_bytes(model):
+    return {k: v.tobytes() for k, v in model.bn.items()}
 
 
-def test_train_forward_blends_running_stats():
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_forward_is_pure(mode):
     model = small_cnn()
-    x = np.random.default_rng(4).normal(size=(8, 2, 28)) * 3 + 1
-    tr = forward(model, x, "train")
-    conv_out, _ = _conv1d(x, model.params.get("conv1.w"),
-                          model.params.get("conv1.b"))
-    batch_mean = conv_out.mean(axis=(0, 2))
-    # fresh stats are (0, 1); one pass moves them a tenth of the way
-    assert np.abs(model.bn["bn1.running_mean"] - 0.1 * batch_mean).max() < 1e-10
-    # and the next eval forward differs from a never-trained twin
-    twin = small_cnn()
-    assert not np.array_equal(forward(model, x, "eval").logits,
-                              forward(twin, x, "eval").logits)
-    assert tr.mode == "train"
+    rng = np.random.default_rng(4)
+    model.bn = forward(model, rng.normal(size=(8, 2, 28)), "train").stats
+    x = rng.normal(size=(8, 2, 28)) * 3 + 1
+    params, stats = model.params.copy(), bn_bytes(model)
+    tr = forward(model, x, mode)
+    assert tr.mode == mode
+    assert np.array_equal(forward(model, x, mode).logits, tr.logits)
+    # the parameters and the statistics are bitwise unchanged
+    assert params_equal(model.params, params)
+    assert bn_bytes(model) == stats
+    assert forward(build_mlp(6, 3, seed=0), np.zeros((2, 6)), mode).stats == {}
+    if mode == "eval":
+        assert tr.stats is model.bn
+        # and they are the statistics it normalizes with
+        assert not np.array_equal(tr.logits, forward(small_cnn(), x, "eval").logits)
+        return
+    # each statistic moves a tenth of the way to its batch value; the
+    # conv outputs are rebuilt from the trace's im2col patches
+    assert list(tr.stats) == list(model.bn)
+    for blk in ("1", "2"):
+        w, b = model.params.get(f"conv{blk}.w"), model.params.get(f"conv{blk}.b")
+        conv_out = tr.caches[f"conv{blk}"] @ w.reshape(w.shape[0], -1).T + b
+        for stat, batch in (("mean", conv_out.mean(axis=(0, 1))),
+                            ("var", conv_out.var(axis=(0, 1)))):
+            old = model.bn[f"bn{blk}.running_{stat}"]
+            want = 0.9 * old + 0.1 * batch
+            got = tr.stats[f"bn{blk}.running_{stat}"]
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (blk, stat)
+            assert not np.array_equal(got, old)
 
 
 def test_forward_rejects_wrong_channel_count():
@@ -371,7 +382,7 @@ federation.forward = keep
 model = build_cnn_har(9, 128, 6, seed=0)
 n = 2 * (federation.EVAL_BYTES // widest_row_bytes(model.params)) + 11
 x = np.random.default_rng(0).normal(size=(n, 9, 128))
-forward(model, x[:32], "train")  # running statistics off their init values
+model.bn = forward(model, x[:32], "train").stats  # statistics off their init values
 federation.evaluate(model, x, np.arange(n) % 6)
 print("evaluate", [len(c) for c in chunks],
       hashlib.sha256(np.concatenate(chunks).tobytes()).hexdigest())
@@ -421,8 +432,8 @@ def test_float32_gradients_agree_with_float64_at_har_shapes(mode):
         grads = backward(model.params, tr, wl, wf)
         assert tr.logits.dtype == dtype and tr.features.dtype == dtype
         assert {l.values.dtype for l in grads.layers} == {np.dtype(dtype)}
-        assert {v.dtype for v in model.bn.values()} == {np.dtype(dtype)}
-        out[dtype] = tr.logits, grads, model.bn
+        assert {v.dtype for v in tr.stats.values()} == {np.dtype(dtype)}
+        out[dtype] = tr.logits, grads, tr.stats
     (logits32, g32, bn32), (logits64, g64, bn64) = out[np.float32], out[np.float64]
     assert np.abs(logits32 - logits64).max() <= 1e-5 * np.abs(logits64).max()
     # about a hundred float32 roundings of the largest entry of the gradient;
@@ -447,7 +458,7 @@ def test_backward_rejects_mismatched_trace():
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     model = small_cnn(seed=6)
     # make the running stats non-trivial before saving
-    forward(model, np.random.default_rng(0).normal(size=(8, 2, 28)), "train")
+    model.bn = forward(model, np.random.default_rng(0).normal(size=(8, 2, 28)), "train").stats
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
@@ -470,7 +481,7 @@ def _split_checkpoint(blob: bytes) -> tuple[bytes, bytes]:
 
 def test_float32_checkpoint_reloads_in_float32_bitwise(tmp_path):
     model = build_cnn_har(2, 28, 3, seed=6, dtype=np.float32)
-    forward(model, np.random.default_rng(0).normal(size=(8, 2, 28)), "train")
+    model.bn = forward(model, np.random.default_rng(0).normal(size=(8, 2, 28)), "train").stats
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
@@ -485,7 +496,7 @@ def test_float32_checkpoint_reloads_in_float32_bitwise(tmp_path):
 @pytest.mark.parametrize("dtype, precision", [(np.float64, "f64"), (np.float32, "f32")])
 def test_a_checkpoint_is_a_header_and_one_raw_packet(tmp_path, dtype, precision):
     model = build_cnn_har(2, 28, 3, seed=6, dtype=dtype)
-    forward(model, np.random.default_rng(0).normal(size=(8, 2, 28)), "train")
+    model.bn = forward(model, np.random.default_rng(0).normal(size=(8, 2, 28)), "train").stats
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(model, path)
     header, packet = _split_checkpoint(open(path, "rb").read())
