@@ -1,9 +1,10 @@
 """Dense kernels shared by the rest of the package.
 
 Everything here operates on plain numpy arrays.  The SVD is LAPACK's
-divide-and-conquer driver (``gesdd``) with the QR-iteration driver
-(``gesvd``) as its fallback, and a fixed singular-vector sign convention so
-the factors do not depend on which driver ran.
+divide-and-conquer driver (``gesdd``, through numpy) with the QR-iteration
+driver (``gesvd``) as its fallback, and a fixed singular-vector sign
+convention so the factors do not depend on which driver ran.  Only the
+fallback needs scipy, which this module loads on the first gesdd failure.
 
 The softmax kernels compute in the dtype they are given; the SVD and the
 finite differences in float64.
@@ -14,7 +15,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 
 class SvdNonConvergence(RuntimeError):
@@ -69,10 +69,20 @@ def thin_svd(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     pivot = np.abs(u).argmax(axis=0)
     signs = np.where(u[pivot, np.arange(q)] < 0, -1.0, 1.0)
-    return u * signs, sigma, vt.T * signs
+    # u Fortran- and v C-ordered, whichever driver ran: the f64 bits of a
+    # later product such as ``work @ v`` depend on the operands' layout
+    return (np.multiply(u, signs, order="F"), sigma,
+            np.multiply(vt.T, signs, order="C"))
 
 
 def _lapack_svd(g: np.ndarray, driver: str):
+    """(u, sigma, vt) of the thin SVD of ``g`` by the named LAPACK driver;
+    raises np.linalg.LinAlgError when it does not converge."""
+    if driver == "gesdd":
+        return np.linalg.svd(g, full_matrices=False)
+    # scipy.linalg costs about 27 MiB and 300 modules to import, and only
+    # this fallback needs it, so a process loads it on the first gesdd failure
+    import scipy.linalg
     return scipy.linalg.svd(g, full_matrices=False, lapack_driver=driver,
                             check_finite=False)
 

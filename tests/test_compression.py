@@ -4,11 +4,11 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedkdx import compression as cp
+from fedkdx import linalg
 from fedkdx.compression import (
     MODE_LOWRANK,
     MODE_LOWRANK_T,
@@ -162,14 +162,18 @@ def test_energy_bound_holds_per_entry():
 
 
 def test_svd_failure_falls_back_to_raw(monkeypatch):
-    def explode(a, **kw):
+    asked = []
+
+    def explode(g, driver):
+        asked.append(driver)
         raise np.linalg.LinAlgError("SVD did not converge")
     # both LAPACK drivers fail, so thin_svd raises SvdNonConvergence
-    monkeypatch.setattr(scipy.linalg, "svd", explode)
+    monkeypatch.setattr(linalg, "_lapack_svd", explode)
     g = np.random.default_rng(2).normal(size=(20, 4))
     pkt, svd_fallbacks = compress_gradient(grads_of([g, np.arange(3.0)]), 0.9,
                                            CompressionPolicy(wire_precision="f64"))
     assert svd_fallbacks == 1
+    assert asked == ["gesdd", "gesvd"]
     assert all(e.mode == MODE_RAW for e in pkt.entries)
     out = decompress(pkt, grads_of([np.zeros_like(g), np.zeros(3)]).zeros_like())
     assert np.array_equal(out.get("layer0.w"), g)
@@ -238,19 +242,25 @@ def test_gram_certificate_shortfall_factors_directly(monkeypatch):
     assert np.sum((g - rec.layers[0].values) ** 2) <= (1.0 - eps) * tot
 
 
-# prints a digest of the encoded entry of fixed-seed gradients of the HAR
-# CNN's two largest working matrices
+# prints a digest of the encoded entry of fixed-seed low-rank gradients of
+# each working matrix of the HAR CNN, then of a full-rank normal fc2 matrix
+# whose rank-32 factors reach into the spectrum's bulk.  (The same at fc1,
+# rank 88 of a 256 x 256 Gram, is not BLAS-thread invariant with either
+# LAPACK build: ROADMAP.)
 _COMPRESSOR_DIGESTS = """
 import hashlib
 import numpy as np
 from fedkdx.compression import GradientPacket, compress_layer, encode_packet
-for p, q in ((1664, 256), (256, 128)):
+def digest(g, eps, precision):
+    entry, _ = compress_layer("w", g, eps, precision)
+    blob = encode_packet(GradientPacket([entry]))
+    print(g.shape, eps, precision, entry.mode, entry.rank, hashlib.sha256(blob).hexdigest())
+for p, q in ((1664, 256), (256, 128), (288, 64), (81, 32)):
     rng = np.random.default_rng(p)
     g = rng.normal(size=(p, 12)) @ rng.normal(size=(12, q)) + 0.05 * rng.normal(size=(p, q))
     for precision in ("f32", "f64"):
-        entry, _ = compress_layer("w", g, 0.9, precision)
-        blob = encode_packet(GradientPacket([entry]))
-        print(p, q, precision, entry.mode, entry.rank, hashlib.sha256(blob).hexdigest())
+        digest(g, 0.9, precision)
+digest(np.random.default_rng(0).normal(size=(256, 128)), 0.5, "f64")
 """
 
 
@@ -262,8 +272,8 @@ def test_blas_thread_count_does_not_change_compressed_bytes():
                               check=True, timeout=300, capture_output=True, text=True)
         outs.append(proc.stdout.splitlines())
     assert outs[0] == outs[1]
-    assert len(outs[0]) == 4
-    assert all(line.split()[3] == str(MODE_LOWRANK) for line in outs[0])
+    assert len(outs[0]) == 9
+    assert all(line.split()[-3] == str(MODE_LOWRANK) for line in outs[0])
 
 
 def test_raw_f64_is_bitwise_f32_quantizes():

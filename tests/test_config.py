@@ -815,16 +815,39 @@ def test_a_run_keeps_the_memory_a_client_step_frees():
     assert int(out.stdout) < 500
 
 
-def test_cli_import_loads_no_scipy_subpackage_but_linalg():
-    # the run path needs scipy only for its LAPACK SVD drivers; any other
-    # public subpackage (stats, sparse, signal, ...) is import time and
-    # memory every process pays for nothing
-    probe = ("import sys, fedkdx.cli; print(' '.join(sorted({m.split('.')[1] "
-             "for m in sys.modules if m.startswith('scipy.') "
-             "and not m.split('.')[1].startswith('_')})))")
-    out = subprocess.run([sys.executable, "-c", probe], env=package_env(),
+_RUN_PATH_SCIPY = """
+import sys
+import numpy as np
+from fedkdx import cli, compression, linalg
+factored = []
+def counted_svd(g):
+    factored.append(g.shape)
+    return linalg.thin_svd(g)
+compression.thin_svd = counted_svd
+assert cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert factored, "the run compressed no matrix"
+print("run:", *sorted({m.split(".")[1] for m in sys.modules
+                       if m.startswith("scipy.") and not m.split(".")[1].startswith("_")}))
+def no_gesdd(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+np.linalg.svd = no_gesdd
+g = np.random.default_rng(0).normal(size=(8, 4))
+u, s, v = linalg.thin_svd(g)
+assert np.allclose((u * s) @ v.T, g)
+print("fallback:", "scipy.linalg" in sys.modules)
+"""
+
+
+def test_the_run_path_loads_no_scipy_subpackage(tmp_path):
+    # numpy runs the gesdd SVD; scipy.linalg, about 27 MiB and 300 modules,
+    # loads only when gesdd fails, and no other subpackage loads at all
+    cfg_path = write_yaml(tmp_path, fast_raw())
+    out = subprocess.run([sys.executable, "-c", _RUN_PATH_SCIPY, cfg_path,
+                          str(tmp_path / "out")], env=package_env(),
                          check=True, timeout=120, capture_output=True, text=True)
-    assert out.stdout.split() == ["linalg", "version"]
+    lines = out.stdout.splitlines()
+    assert lines[-2].split() == ["run:"]
+    assert lines[-1].split() == ["fallback:", "True"]
 
 
 def test_cli_threads_flag(tmp_path, capsys):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedkdx import linalg
 from fedkdx.linalg import (
     SvdNonConvergence,
     finite_diff_grad,
@@ -87,20 +87,20 @@ def test_thin_svd_rejects_wide_and_nonfinite():
         thin_svd(np.array([[1.0], [np.nan]]))
 
 
-_SCIPY_SVD = scipy.linalg.svd
+_LAPACK_SVD = linalg._lapack_svd
 
 
 def failing_driver(monkeypatch, failing):
-    """Make scipy's SVD raise for the named LAPACK drivers; returns the
-    list of drivers thin_svd asked for."""
+    """Make the named LAPACK drivers raise; returns the list of drivers
+    thin_svd asked for."""
     asked = []
 
-    def svd(a, **kw):
-        asked.append(kw["lapack_driver"])
-        if kw["lapack_driver"] in failing:
+    def lapack_svd(g, driver):
+        asked.append(driver)
+        if driver in failing:
             raise np.linalg.LinAlgError("SVD did not converge")
-        return _SCIPY_SVD(a, **kw)
-    monkeypatch.setattr(scipy.linalg, "svd", svd)
+        return _LAPACK_SVD(g, driver)
+    monkeypatch.setattr(linalg, "_lapack_svd", lapack_svd)
     return asked
 
 
@@ -122,7 +122,7 @@ def test_thin_svd_sign_convention_is_driver_independent(monkeypatch):
     mats = [rng.normal(size=(30, 7)), rng.normal(size=(9, 9)),
             rng.normal(size=(40, 3)) * np.logspace(-3, 3, 3)]
     default = [thin_svd(g) for g in mats]
-    failing_driver(monkeypatch, {"gesdd"})
+    asked = failing_driver(monkeypatch, {"gesdd"})
     for g, (u, s, v) in zip(mats, default):
         q = g.shape[1]
         pivot = np.abs(u).argmax(axis=0)
@@ -131,6 +131,20 @@ def test_thin_svd_sign_convention_is_driver_independent(monkeypatch):
         assert np.allclose(u2, u, atol=1e-10)
         assert np.allclose(s2, s, rtol=1e-12)
         assert np.allclose(v2, v, atol=1e-10)
+    assert asked == ["gesdd", "gesvd"] * len(mats)
+
+
+def test_thin_svd_factor_layout_is_driver_independent(monkeypatch):
+    # u Fortran- and v C-contiguous from either driver: the f64 bits of
+    # compression's ``work @ v`` depend on the operands' layout
+    rng = np.random.default_rng(5)
+    mats = [rng.normal(size=(30, 7)), rng.normal(size=(9, 9)), rng.normal(size=(12, 1))]
+    for failing in (set(), {"gesdd"}):
+        asked = failing_driver(monkeypatch, failing)
+        for g in mats:
+            u, _, v = thin_svd(g)
+            assert u.flags.f_contiguous and v.flags.c_contiguous, (g.shape, failing)
+        assert asked[-1] == ("gesvd" if failing else "gesdd")
 
 
 @settings(max_examples=40)
