@@ -152,7 +152,7 @@ def client_local_step_fedkdx(state: ClientState, student: Model,
         state.teacher.bn = t_tr.stats
         s_tr = forward(student, xb, "eval")
 
-        (_, gl_t, gf_t), (_, gl_s, gf_s) = combined_loss(
+        (gl_t, gf_t), (gl_s, gf_s) = combined_loss(
             t_tr.logits, s_tr.logits, t_tr.features, s_tr.features,
             state.y_train[idx], cfg)
         t_grad = backward(state.teacher.params, t_tr, gl_t, gf_t)
@@ -181,8 +181,7 @@ def client_local_step_fedavg(state: ClientState, prox_mu: float,
         for idx in _epoch_batches(n, state.batch_size, state.rng):
             tr = forward(local, state.x_train[idx], "train")
             local.bn = tr.stats
-            _, gl = ce_batch(tr.logits, state.y_train[idx])
-            grad = backward(local.params, tr, gl)
+            grad = backward(local.params, tr, ce_batch(tr.logits, state.y_train[idx]))
             if prox_mu != 0.0:
                 for g, w, w0 in zip(grad.layers, local.params.layers, start.layers):
                     g.values += prox_mu * (w.values - w0.values)

@@ -1,23 +1,29 @@
 """Training objectives for the mutual-distillation pair.
 
-Every loss returns its scalar value together with analytic gradients, so
-the networks never need an autograd engine.  Distillation terms always
-treat the peer model's outputs as constants: gradients flow only into the
-first (own) argument.
+Every loss has analytic gradients, so the networks never need an autograd
+engine.  Distillation terms always treat the peer model's outputs as
+constants: gradients flow only into the first (own) argument.
 
-The row kernels take (..., B, C) arrays.  ``combined_loss`` stacks the
-teacher and student logits into one (2, B, C) array, teacher first, so
-each kernel runs once for both sides; a side's peer is the stack reversed
-along its leading axis.  The one-sample losses call the same kernels.
+Each term has a value kernel and a gradient kernel over (..., B, C) row
+stacks, own side first (cross entropy's gradient is the softmax minus the
+target mask, written where it is used); a side's peer is the stack reversed along its
+leading axis.  ``combined_loss`` stacks the teacher and student logits into
+one (2, B, C) array, teacher first, so each kernel runs once for both sides.
+
+The minibatch losses return gradients only, since the clients read nothing
+else: ``combined_loss`` each side's logit and feature gradients,
+``ce_batch`` the logit gradient.  The objective's values come from
+``combined_value``, which runs the value kernels on the same prepared
+stack, and from the one-sample losses, which keep their (value, gradient)
+API and call both kernels of a term.
 
 The minibatch losses compute in the dtype of the logits and features they
 are given: float32 for the CNN, float64 for the MLP.  The one-sample losses
 and ``ctl_loss`` cast their arguments to float64.
 
 Values are checked where they enter.  The one-sample losses and
-``ctl_loss`` check their arguments.  ``combined_loss``, ``ce_batch`` and the
-row kernels run per minibatch on arrays the program built and check shapes
-only: the loaders check data
+``ctl_loss`` check their arguments.  ``combined_loss``, ``combined_value``,
+``ce_batch`` and the kernels check shapes only: the loaders check data
 values at load, labels lie in [0, C) for C = largest label + 1, and a
 non-finite value made in a round fails it at the uplink check
 (``compress_layer`` or ``decode_packet``), which names the client.
@@ -87,68 +93,83 @@ def _check_labels(labels, num_classes: int) -> np.ndarray:
     return y.astype(np.intp)
 
 
-def _ce_rows(logp: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row cross entropy from temperature-1 log-softmaxes (..., B, C):
-    values (..., B), grads (..., B, C)."""
-    rows = np.arange(logp.shape[-2])
-    values = -logp[..., rows, labels]
-    grads = np.exp(logp)
-    grads[..., rows, labels] -= 1.0
-    return values, grads
+def _onehot(labels: np.ndarray, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """(B, C) mask of B labels, 1 at each row's target: the target mask of
+    every kernel, broadcast over a stack's leading axis."""
+    onehot = np.zeros(shape[-2:], dtype)
+    onehot[np.arange(shape[-2]), labels] = 1.0
+    return onehot
 
 
-def _kd_rows(log_own: np.ndarray, log_peer: np.ndarray, p_own: np.ndarray,
-             p_peer: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+def _target(a: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each row's entry at its label: (..., B) from (..., B, C)."""
+    return a[..., np.arange(a.shape[-2]), labels]
+
+
+def _ce_values(logp: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-row cross entropy (..., B) from temperature-1 log-softmaxes."""
+    return -_target(logp, labels)
+
+
+def _kd_values(log_tau: np.ndarray, p: np.ndarray, tau: float) -> np.ndarray:
     """Per-row tau^2-scaled KL(peer || own) from the tempered log-softmaxes
-    of both sides and their exps; peer is a constant reference."""
-    contrib = np.where(p_peer > 0.0, p_peer * (log_peer - log_own), 0.0)
-    values = tau * tau * contrib.sum(axis=-1)
-    grads = tau * (p_own - p_peer)
-    return values, grads
+    of a stack and their exps; the peer is a constant reference."""
+    p_peer = p[::-1]
+    contrib = np.where(p_peer > 0.0, p_peer * (log_tau[::-1] - log_tau), 0.0)
+    return tau * tau * contrib.sum(axis=-1)
 
 
-def _nkd_rows(log_own: np.ndarray, p_own: np.ndarray, p_peer: np.ndarray,
-              labels: np.ndarray, tau: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+def _kd_grads(p: np.ndarray, tau: float) -> np.ndarray:
+    """Per-row gradients of ``_kd_values`` in the own logits."""
+    return tau * (p - p[::-1])
+
+
+def _non_target(p: np.ndarray, labels: np.ndarray,
+                onehot: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stack's target probabilities (..., B), its non-target masses
+    (..., B, 1) clamped at the floor, and the renormalized non-target
+    distributions (..., B, C), zero at the target."""
+    target = _target(p, labels)
+    mass = np.maximum(1.0 - target, PROB_FLOOR)[..., None]
+    return target, mass, np.where(onehot == 0.0, p / mass, 0.0)
+
+
+def _nkd_values(log_tau: np.ndarray, labels: np.ndarray, onehot: np.ndarray,
+                split, tau: float, gamma: float) -> np.ndarray:
     """Per-row decoupled distillation: a target-confidence term plus a
     tau^2-scaled cross entropy between the renormalized non-target masses
-    of peer and own distributions, given their tempered softmaxes and the
-    own log-softmax."""
-    rows = np.arange(log_own.shape[-2])
-    pt_target = p_peer[..., rows, labels]
-    ps_target = p_own[..., rows, labels]
-    term1 = -pt_target * log_own[..., rows, labels]
+    of peer and own distributions, given the tempered log-softmaxes and
+    ``_non_target`` of the stack."""
+    target, _, n = split
+    term1 = -target[::-1] * _target(log_tau, labels)
+    log_n_own = np.log(np.maximum(n, PROB_FLOOR))
+    term2 = -(np.where(onehot == 0.0, n[::-1] * log_n_own, 0.0)).sum(axis=-1)
+    return (1.0 - gamma) * term1 + gamma * tau * tau * term2
 
-    m_peer = np.maximum(1.0 - pt_target, PROB_FLOOR)[..., None]
-    m_own = np.maximum(1.0 - ps_target, PROB_FLOOR)[..., None]
-    onehot = np.zeros(log_own.shape, log_own.dtype)
-    onehot[..., rows, labels] = 1.0
-    non_target = onehot == 0.0
 
-    n_peer = np.where(non_target, p_peer / m_peer, 0.0)
-    n_own = np.where(non_target, p_own / m_own, 0.0)
-    log_n_own = np.log(np.maximum(n_own, PROB_FLOOR))
-    term2 = -(np.where(non_target, n_peer * log_n_own, 0.0)).sum(axis=-1)
-
-    values = (1.0 - gamma) * term1 + gamma * tau * tau * term2
-
+def _nkd_grads(p: np.ndarray, onehot: np.ndarray, split, tau: float,
+               gamma: float) -> np.ndarray:
+    target, mass, n = split
+    d = onehot - p
     # d(term1)/dz_j = -pt_target * (delta_{target,j} - p_own_j) / tau
-    g1 = -(pt_target[..., None]) * (onehot - p_own) / tau
+    g1 = -(target[::-1, ..., None]) * d / tau
     # d(term2 * tau^2)/dz_j = -tau * (n_peer_j - p_own_j
     #                                 + (p_own_target / m_own)(delta - p_own_j))
-    g2 = -tau * (n_peer - p_own + ps_target[..., None] / m_own * (onehot - p_own))
-    grads = (1.0 - gamma) * g1 + gamma * g2
-    return values, grads
+    g2 = -tau * (n[::-1] - p + target[..., None] / mass * d)
+    return (1.0 - gamma) * g1 + gamma * g2
 
 
-def ce_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross entropy of (B, C) logits against B labels; the gradient
-    carries the 1/B factor and the logits' dtype.  The minibatch loss of
+def ce_batch(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gradient of the mean cross entropy of (B, C) logits against B labels;
+    it carries the 1/B factor and the logits' dtype.  The minibatch loss of
     the averaging strategies: like ``combined_loss`` it checks shapes only."""
     if logits.ndim != 2 or labels.shape != logits.shape[:1]:
         raise ValueError(f"logits {logits.shape} and labels {labels.shape} "
                          "must share one batch")
-    values, grads = _ce_rows(log_softmax_rows(logits, 1.0), labels)
-    return float(values.mean()), grads / logits.shape[0]
+    # a row's cross-entropy gradient is its softmax minus its target mask
+    grads = np.exp(log_softmax_rows(logits, 1.0)) - _onehot(labels, logits.shape, logits.dtype)
+    grads /= logits.shape[0]
+    return grads
 
 
 def cross_entropy(logits, label) -> tuple[float, np.ndarray]:
@@ -156,8 +177,9 @@ def cross_entropy(logits, label) -> tuple[float, np.ndarray]:
     if np.ndim(logits) != 1:
         raise ValueError("cross_entropy takes a single logit vector")
     z = _as_logit_rows(logits, "logits")
-    value, grads = ce_batch(z, _check_labels(label, z.shape[1]))
-    return value, grads[0]
+    y = _check_labels(label, z.shape[1])
+    logp = log_softmax_rows(z, 1.0)
+    return float(_ce_values(logp, y)[0]), (np.exp(logp) - _onehot(y, z.shape, z.dtype))[0]
 
 
 def _vector_pair(own_logits, peer_logits, tau: float, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -184,8 +206,7 @@ def kd_loss(own_logits, peer_logits, tau: float, direction: str) -> tuple[float,
     if direction not in (TOWARD_TEACHER, TOWARD_STUDENT):
         raise ValueError(f"unknown distillation direction {direction!r}")
     log, p = _vector_pair(own_logits, peer_logits, tau, "kd_loss")
-    values, grads = _kd_rows(log[0], log[1], p[0], p[1], tau)
-    return float(values[0]), grads[0]
+    return float(_kd_values(log, p, tau)[0, 0]), _kd_grads(p, tau)[0, 0]
 
 
 def nkd_loss(own_logits, peer_logits, target, tau: float, gamma: float) -> tuple[float, np.ndarray]:
@@ -199,28 +220,49 @@ def nkd_loss(own_logits, peer_logits, target, tau: float, gamma: float) -> tuple
     if log.shape[-1] < 2:
         raise ValueError("nkd_loss needs at least two classes")
     y = _check_labels(target, log.shape[-1])
-    values, grads = _nkd_rows(log[0], p[0], p[1], y, tau, gamma)
-    return float(values[0]), grads[0]
+    onehot = _onehot(y, log.shape, log.dtype)
+    split = _non_target(p, y, onehot)
+    return (float(_nkd_values(log, y, onehot, split, tau, gamma)[0, 0]),
+            _nkd_grads(p, onehot, split, tau, gamma)[0, 0])
 
 
 # feature rows are divided by max(norm, floor), as InfoNCE code does
 CTL_NORM_FLOOR = 1e-12
 
 
-def _ctl_pair(f: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
-    """Contrastive value and (2, B, D) feature gradients of a stacked pair,
-    teacher anchors first.  A zero row scores zero against every row; its
-    gradient is the upstream one over the floor, the clamped map's slope."""
-    b = f.shape[1]
-    norms = np.maximum(np.linalg.norm(f, axis=-1, keepdims=True), CTL_NORM_FLOOR)
+def _ctl_scores(f: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stacked (2, B, D) feature pair, teacher anchors first: the row
+    norms clamped at the floor, the normalized rows, and each anchor's
+    log-softmax over the candidates (B, B).  A zero row scores zero
+    against every row."""
+    # np.linalg.norm's own steps along one axis
+    norms = np.maximum(np.sqrt(np.add.reduce(f * f, axis=-1, keepdims=True)),
+                       CTL_NORM_FLOOR)
     a = f / norms
-    logq = log_softmax_rows(a[0] @ a[1].T, tau)
-    value = float(-np.trace(logq) / b)
+    return norms, a, log_softmax_rows(a[0] @ a[1].T, tau)
 
-    w = (np.exp(logq) - np.eye(b, dtype=logq.dtype)) / (b * tau)
-    g = np.stack((w @ a[1], w.T @ a[0]))
+
+def _ctl_value(logq: np.ndarray) -> float:
+    return float(-np.trace(logq) / logq.shape[0])
+
+
+def _ctl_grads(norms: np.ndarray, a: np.ndarray, logq: np.ndarray,
+               tau: float) -> np.ndarray:
+    """(2, B, D) feature gradients of the contrastive value.  A zero row's
+    gradient is the upstream one over the floor, the clamped map's slope."""
+    b = logq.shape[0]
+    # minus the positives on the diagonal; exp's output is C-ordered, so
+    # ravel is a view
+    w = np.exp(logq)
+    w.ravel()[::b + 1] -= 1.0
+    w /= b * tau
+    g = np.empty_like(a)
+    np.matmul(w, a[1], out=g[0])
+    np.matmul(w.T, a[0], out=g[1])
     # back through row normalization: project out the radial component
-    return value, (g - (g * a).sum(axis=-1, keepdims=True) * a) / norms
+    g -= (g * a).sum(axis=-1, keepdims=True) * a
+    g /= norms
+    return g
 
 
 def ctl_loss(teacher_feats, student_feats, tau: float) -> tuple[float, np.ndarray, np.ndarray]:
@@ -229,7 +271,7 @@ def ctl_loss(teacher_feats, student_feats, tau: float) -> tuple[float, np.ndarra
     Each teacher feature row is an anchor whose positive is the student
     feature at the same index; every student row in the batch serves as a
     candidate.  Returns the mean InfoNCE value and gradients for both
-    feature arrays.  A zero-norm row is allowed; see ``_ctl_pair``.
+    feature arrays.  A zero-norm row is allowed; see ``_ctl_scores``.
     """
     if not tau > 0:
         raise ValueError(f"temperature must be positive, got {tau}")
@@ -244,58 +286,101 @@ def ctl_loss(teacher_feats, student_feats, tau: float) -> tuple[float, np.ndarra
     f = np.stack((ft, fs))
     if not np.isfinite(f).all():
         raise ValueError("features must be finite")
-    value, g = _ctl_pair(f, tau)
-    return value, g[0], g[1]
+    norms, a, logq = _ctl_scores(f, tau)
+    g = _ctl_grads(norms, a, logq, tau)
+    return _ctl_value(logq), g[0], g[1]
 
 
-# one side's (value, grad_logits, grad_feats)
-SideLoss = tuple[float, np.ndarray, np.ndarray]
+# one side's (grad_logits, grad_feats)
+SideGrads = tuple[np.ndarray, np.ndarray]
 
 
-def combined_loss(teacher_logits, student_logits, teacher_feats, student_feats,
-                  labels, cfg: LossConfig) -> tuple[SideLoss, SideLoss]:
-    """Batch objectives of both sides of the mutual-distillation pair.
+@dataclass
+class _Pair:
+    """A minibatch of both sides, stacked teacher first, with what both the
+    value and the gradient kernels read from it."""
+    f: np.ndarray          # (2, B, H) features
+    log_tau: np.ndarray    # (2, B, C) log-softmax at temperature tau
+    p: np.ndarray          # its exp
+    logp: np.ndarray       # (2, B, C) log-softmax at temperature 1
+    soft: np.ndarray       # its exp
+    onehot: np.ndarray     # (B, C) target mask
+    split: tuple | None    # ``_non_target`` of p when the NKD term is on
+    ctl: bool              # the contrastive term is on and has negatives
 
-    Each side's value = mean CE + kd_weight * mean KD + nkd_weight * mean
-    NKD + ctl_weight * CTL (the two optional terms gated by the config
-    switches), with the other side's outputs held constant.  The sides
-    share ``ctl_loss(teacher_feats, student_feats)``: the teacher takes its
-    anchor gradient, the student its candidate gradient.  Returns
-    ``(value, grad_logits, grad_feats)`` for the teacher, then the student.
-    Checks shapes only; the module docstring says what checks the values.
-    """
+    @property
+    def b(self) -> int:
+        return self.p.shape[1]
+
+
+def _pair(teacher_logits, student_logits, teacher_feats, student_feats,
+          labels, cfg: LossConfig) -> _Pair:
     # (2, B, C) and (2, B, H), teacher first; each side's peer is the
-    # reversed stack.  np.stack refuses sides of unequal shapes.
-    z = np.stack((teacher_logits, student_logits))
-    f = np.stack((teacher_feats, student_feats))
+    # reversed stack.  np.array refuses sides of unequal shapes.
+    z = np.array((teacher_logits, student_logits))
+    f = np.array((teacher_feats, student_feats))
     if z.ndim != 3 or f.ndim != 3 or f.shape[1] != z.shape[1] or labels.shape != z.shape[1:2]:
         raise ValueError(f"logits {z.shape}, features {f.shape} and labels {labels.shape} "
                          "must share one batch")
-    _, b, c = z.shape
-    if cfg.enable_nkd and c < 2:
+    if cfg.enable_nkd and z.shape[2] < 2:
         raise ValueError("nkd term needs at least two classes")
 
-    # one shift serves both temperatures: dividing it by 1.0 is exact
-    shift = z - z.max(axis=-1, keepdims=True)
-    log_tau = log_softmax_shifted(shift / cfg.tau)
-    p = np.exp(log_tau)
-    ce_vals, grads = _ce_rows(log_softmax_shifted(shift), labels)
-    kd_vals, kd_grads = _kd_rows(log_tau, log_tau[::-1], p, p[::-1], cfg.tau)
-    # a C-contiguous copy keeps each side's sum in the order of a 1-D mean
-    values = (np.ascontiguousarray(ce_vals).sum(axis=-1) / b
-              + cfg.kd_weight * (kd_vals.sum(axis=-1) / b))
-    grads = (grads + cfg.kd_weight * kd_grads) / b
-    if cfg.enable_nkd:
-        nkd_vals, nkd_grads = _nkd_rows(log_tau, p, p[::-1], labels, cfg.tau, cfg.gamma)
-        values += cfg.nkd_weight * (nkd_vals.sum(axis=-1) / b)
-        grads += cfg.nkd_weight * nkd_grads / b
-
+    # one shift serves both temperatures, stacked tau first, so one pass of
+    # each kernel serves both; the temperature-1 half is the shift itself,
+    # as dividing by 1.0 is exact
+    shift = np.empty((2, *z.shape), z.dtype)
+    np.subtract(z, z.max(axis=-1, keepdims=True), out=shift[1])
+    np.divide(shift[1], cfg.tau, out=shift[0])
+    logs = log_softmax_shifted(shift)
+    probs = np.exp(logs)
+    onehot = _onehot(labels, z.shape, z.dtype)
     # a single-row batch has no in-batch negatives; the contrastive term
     # drops out rather than erroring on the last short minibatch
-    if cfg.enable_ctl and b >= 2:
-        ctl_value, g_ctl = _ctl_pair(f, cfg.tau)
-        values += cfg.ctl_weight * ctl_value
-        grad_feats = cfg.ctl_weight * g_ctl
+    return _Pair(f, logs[0], probs[0], logs[1], probs[1], onehot,
+                 _non_target(probs[0], labels, onehot) if cfg.enable_nkd else None,
+                 cfg.enable_ctl and z.shape[1] >= 2)
+
+
+def combined_loss(teacher_logits, student_logits, teacher_feats, student_feats,
+                  labels, cfg: LossConfig) -> tuple[SideGrads, SideGrads]:
+    """Gradients of both sides' batch objectives (see ``combined_value``):
+    ``(grad_logits, grad_feats)`` for the teacher, then the student.  The
+    teacher takes the contrastive anchor gradient, the student the
+    candidate one.  Checks shapes only; the module docstring says what
+    checks the values.
+    """
+    s = _pair(teacher_logits, student_logits, teacher_feats, student_feats, labels, cfg)
+    grads = s.soft - s.onehot   # cross entropy
+    grads += cfg.kd_weight * _kd_grads(s.p, cfg.tau)
+    grads /= s.b
+    if s.split is not None:
+        grads += cfg.nkd_weight * _nkd_grads(s.p, s.onehot, s.split, cfg.tau, cfg.gamma) / s.b
+    if s.ctl:
+        grad_feats = cfg.ctl_weight * _ctl_grads(*_ctl_scores(s.f, cfg.tau), cfg.tau)
     else:
-        grad_feats = np.zeros_like(f)
-    return tuple((float(v), g, gf) for v, g, gf in zip(values, grads, grad_feats))
+        grad_feats = np.zeros_like(s.f)
+    return (grads[0], grad_feats[0]), (grads[1], grad_feats[1])
+
+
+def combined_value(teacher_logits, student_logits, teacher_feats, student_feats,
+                   labels, cfg: LossConfig) -> tuple[float, float]:
+    """Batch objectives of both sides of the mutual-distillation pair,
+    teacher first.
+
+    Each side's value = mean CE + kd_weight * mean KD + nkd_weight * mean
+    NKD + ctl_weight * CTL (the two optional terms gated by the config
+    switches, CTL also by a batch of two rows or more), with the other
+    side's outputs held constant.  The sides share ``ctl_loss(teacher_feats,
+    student_feats)``.  Checks shapes only, as ``combined_loss`` does.
+    """
+    s = _pair(teacher_logits, student_logits, teacher_feats, student_feats, labels, cfg)
+    b = s.b
+    # a C-contiguous copy keeps each side's sum in the order of a 1-D mean
+    values = (np.ascontiguousarray(_ce_values(s.logp, labels)).sum(axis=-1) / b
+              + cfg.kd_weight * (_kd_values(s.log_tau, s.p, cfg.tau).sum(axis=-1) / b))
+    if s.split is not None:
+        nkd = _nkd_values(s.log_tau, labels, s.onehot, s.split, cfg.tau, cfg.gamma)
+        values += cfg.nkd_weight * (nkd.sum(axis=-1) / b)
+    if s.ctl:
+        values += cfg.ctl_weight * _ctl_value(_ctl_scores(s.f, cfg.tau)[2])
+    return float(values[0]), float(values[1])

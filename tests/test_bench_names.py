@@ -60,3 +60,23 @@ def test_harness_reads_its_attributes_off_the_run_objects(monkeypatch, tmp_path,
 
     e = harness.Experiment(0.0, clock.rounds, harness.checks.read_rows(out), False)
     assert harness._check(e, None, out, cfg, eval_x, eval_y) == []
+
+
+# the traced stages that only a wrapped name's calls can fill; a hot path
+# that stops calling one through its wrapped name would read 0 in the bench
+CALLED = {
+    "FEDKDX": ("losses.combined_loss", "nn.forward", "nn.backward", "linalg.thin_svd"),
+    "FEDAVG": ("losses.ce_batch", "nn.forward", "nn.backward"),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(CALLED))
+def test_a_run_calls_the_names_the_bench_times(monkeypatch, tmp_path, strategy):
+    tracing = import_bench(monkeypatch, "tracing")
+    tracer = tracing.Tracer(1)
+    with tracing.installed(tracer):
+        experiment.run_experiment(make_config(strategy=strategy, rounds=1), str(tmp_path / "run"))
+    spans = {name for name, *_ in tracer.spans}
+    assert {"federation.round", "federation.client_step"} <= spans
+    for name in CALLED[strategy]:
+        assert name in spans, name

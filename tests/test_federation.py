@@ -24,7 +24,7 @@ from fedkdx.federation import (
     server_aggregate,
 )
 from fedkdx.linalg import finite_diff_grad, softmax_rows
-from fedkdx.losses import LossConfig, combined_loss
+from fedkdx.losses import LossConfig, combined_loss, combined_value
 from fedkdx.nn import (LayerParam, ModelParams, backward, build_cnn_har, build_mlp,
                        forward, params_iadd_scaled, widest_row_bytes)
 from helpers import make_experiment, params_equal, rel_err
@@ -102,8 +102,8 @@ def test_single_batch_step_matches_hand_backprop():
     x, y = st_clone.x_train[idx], st_clone.y_train[idx]
     t_tr = forward(st_clone.teacher, x, "train")
     s_tr = forward(student, x, "eval")
-    _, (_, gl, gf) = combined_loss(t_tr.logits, s_tr.logits, t_tr.features,
-                                   s_tr.features, y, cfg)
+    _, (gl, gf) = combined_loss(t_tr.logits, s_tr.logits, t_tr.features,
+                                s_tr.features, y, cfg)
     want = backward(student.params, s_tr, gl, gf)
     assert np.abs(grad.flatten() - want.flatten()).max() < 1e-15
 
@@ -128,9 +128,8 @@ def test_student_gradient_matches_finite_differences():
                 x, y = clone.x_train[idx], clone.y_train[idx]
                 t_tr = forward(clone.teacher, x, "train")
                 s_tr = forward(probe, x, "eval")
-                _, (val, _, _) = combined_loss(t_tr.logits, s_tr.logits, t_tr.features,
-                                               s_tr.features, y, cfg)
-                return val
+                return combined_value(t_tr.logits, s_tr.logits, t_tr.features,
+                                      s_tr.features, y, cfg)[1]
             fd = finite_diff_grad(f, np.array([flat[i]]))[0]
             assert rel_err(grad.flatten()[i], fd).max() < 1e-4
 
@@ -162,7 +161,7 @@ def test_epoch_gradient_is_the_mean_of_replayed_minibatches():
         x, y = clone.x_train[idx], clone.y_train[idx]
         t_tr = forward(clone.teacher, x, "train")
         s_tr = forward(student, x, "eval")
-        (_, gl_t, gf_t), (_, gl_s, gf_s) = combined_loss(
+        (gl_t, gf_t), (gl_s, gf_s) = combined_loss(
             t_tr.logits, s_tr.logits, t_tr.features, s_tr.features, y, cfg)
         params_iadd_scaled(clone.teacher.params,
                            backward(clone.teacher.params, t_tr, gl_t, gf_t),
@@ -192,8 +191,7 @@ def test_fedavg_delta_matches_hand_sgd():
     local = clone.student_view.copy()
     idx = clone.rng.permutation(5)
     tr = forward(local, clone.x_train[idx], "train")
-    _, gl = ce_batch(tr.logits, clone.y_train[idx])
-    g = backward(local.params, tr, gl)
+    g = backward(local.params, tr, ce_batch(tr.logits, clone.y_train[idx]))
     params_iadd_scaled(local.params, g, -0.1)
     want = local.params.copy()
     params_iadd_scaled(want, clone.student_view.params, -1.0)

@@ -13,6 +13,7 @@ from fedkdx.losses import (
     LossConfig,
     ce_batch,
     combined_loss,
+    combined_value,
     cross_entropy,
     ctl_loss,
     kd_loss,
@@ -69,13 +70,15 @@ def test_cross_entropy_rejects_bad_input():
 
 
 def test_ce_batch_is_mean_of_rows_with_batch_scaled_gradient():
+    # the gradient of the mean of the rows' cross entropies; the batch path
+    # returns no value
     rng = np.random.default_rng(1)
     z = rng.normal(size=(4, 3))
     y = np.array([0, 2, 1, 1])
-    v, g = ce_batch(z, y)
-    singles = [cross_entropy(z[i], y[i]) for i in range(4)]
-    assert abs(v - np.mean([s[0] for s in singles])) < 1e-15
-    assert np.abs(g - np.stack([s[1] for s in singles]) / 4).max() < 1e-15
+    g = ce_batch(z, y)
+    singles = [cross_entropy(z[i], y[i])[1] for i in range(4)]
+    assert np.array_equal(g, np.stack(singles) / 4)
+    assert ce_batch(z.astype(np.float32), y).dtype == np.float32
     with pytest.raises(ValueError, match="must share one batch"):
         ce_batch(z, y[:3])
     with pytest.raises(ValueError, match="must share one batch"):
@@ -269,9 +272,9 @@ def test_a_zero_cnn_feature_row_gives_finite_parameter_gradients():
     y = np.array([0, 1, 2, 1])
     t_tr, s_tr = forward(teacher, x, "eval"), forward(student, x, "eval")
     assert np.all(t_tr.features[2] == 0.0) and np.all(s_tr.features[2] == 0.0)
-    (vt, gl_t, gf_t), (vs, gl_s, gf_s) = combined_loss(
-        t_tr.logits, s_tr.logits, t_tr.features, s_tr.features, y, default_cfg())
-    assert np.isfinite(vt) and np.isfinite(vs)
+    outs = (t_tr.logits, s_tr.logits, t_tr.features, s_tr.features, y, default_cfg())
+    (gl_t, gf_t), (gl_s, gf_s) = combined_loss(*outs)
+    assert np.all(np.isfinite(combined_value(*outs)))
     for model, tr, gl, gf in ((teacher, t_tr, gl_t, gf_t), (student, s_tr, gl_s, gf_s)):
         assert np.all(np.isfinite(gf))
         grads = backward(model.params, tr, gl, gf)
@@ -306,11 +309,12 @@ def test_combined_decomposes_into_its_terms():
     cfg = default_cfg(kd_weight=0.7, nkd_weight=1.3, ctl_weight=0.4)
     b = zt.shape[0]
 
-    teacher, student = combined_loss(zt, zs, ft, fs, y, cfg)
+    grads = combined_loss(zt, zs, ft, fs, y, cfg)
+    values = combined_value(zt, zs, ft, fs, y, cfg)
 
     ctl, g_anchor, g_cand = ctl_loss(ft, fs, cfg.tau)
-    for (value, gl, gf), own, peer, g_ctl in ((teacher, zt, zs, g_anchor),
-                                              (student, zs, zt, g_cand)):
+    for value, (gl, gf), own, peer, g_ctl in ((values[0], grads[0], zt, zs, g_anchor),
+                                              (values[1], grads[1], zs, zt, g_cand)):
         ce = np.mean([cross_entropy(own[i], y[i])[0] for i in range(b)])
         kd = np.mean([kd_loss(own[i], peer[i], cfg.tau, TOWARD_STUDENT)[0]
                       for i in range(b)])
@@ -331,8 +335,8 @@ def test_combined_decomposes_into_its_terms():
 def test_combined_role_selects_the_contrastive_side():
     rng = np.random.default_rng(7)
     zt, zs, ft, fs, y = random_batch(rng)
-    (_, _, gf_teacher), (_, _, gf_student) = combined_loss(zt, zs, ft, fs, y,
-                                                           default_cfg())
+    (_, gf_teacher), (_, gf_student) = combined_loss(zt, zs, ft, fs, y,
+                                                     default_cfg())
     # teacher rows are the anchors, student rows the candidates
     _, g_anchor, g_cand = ctl_loss(ft, fs, default_cfg().tau)
     assert np.abs(gf_teacher - g_anchor).max() < 1e-15
@@ -352,13 +356,16 @@ def test_combined_is_swap_symmetric(nkd):
         teacher, student = combined_loss(zt, zs, ft, fs, y, cfg)
         swapped = combined_loss(zs, zt, fs, ft, y, cfg)
         for want, got in ((teacher, swapped[1]), (student, swapped[0])):
-            assert want[0] == got[0]
+            assert np.array_equal(want[0], got[0])
             assert np.array_equal(want[1], got[1])
-            assert np.array_equal(want[2], got[2])
+        v_t, v_s = combined_value(zt, zs, ft, fs, y, cfg)
+        assert (v_t, v_s) == combined_value(zs, zt, fs, ft, y, cfg)[::-1]
 
         cfg = default_cfg(enable_nkd=nkd, ctl_weight=0.4)
-        (v_t, gl_t, _), (v_s, gl_s, _) = combined_loss(zt, zs, ft, fs, y, cfg)
-        (w_t, hl_t, _), (w_s, hl_s, _) = combined_loss(zs, zt, ft, fs, y, cfg)
+        (gl_t, _), (gl_s, _) = combined_loss(zt, zs, ft, fs, y, cfg)
+        (hl_t, _), (hl_s, _) = combined_loss(zs, zt, ft, fs, y, cfg)
+        v_t, v_s = combined_value(zt, zs, ft, fs, y, cfg)
+        w_t, w_s = combined_value(zs, zt, ft, fs, y, cfg)
         assert (v_t, v_s) == (w_s, w_t)
         assert np.array_equal(gl_t, hl_s) and np.array_equal(gl_s, hl_t)
 
@@ -366,10 +373,10 @@ def test_combined_is_swap_symmetric(nkd):
 def test_combined_flags_drop_terms():
     rng = np.random.default_rng(8)
     batch = random_batch(rng)
-    (v_all, _, _), _ = combined_loss(*batch, default_cfg())
-    (v_nonkd, _, _), _ = combined_loss(*batch, default_cfg(enable_nkd=False))
-    (v_noctl, _, gf_t), (_, _, gf_s) = combined_loss(*batch,
-                                                     default_cfg(enable_ctl=False))
+    v_all, _ = combined_value(*batch, default_cfg())
+    v_nonkd, _ = combined_value(*batch, default_cfg(enable_nkd=False))
+    v_noctl, _ = combined_value(*batch, default_cfg(enable_ctl=False))
+    (_, gf_t), (_, gf_s) = combined_loss(*batch, default_cfg(enable_ctl=False))
     assert v_nonkd < v_all
     assert v_noctl != v_all
     assert np.all(gf_t == 0.0) and np.all(gf_s == 0.0)
@@ -380,10 +387,11 @@ def test_combined_single_row_batch_drops_the_contrastive_term():
     batch = random_batch(rng, b=1)
     on = combined_loss(*batch, default_cfg())
     off = combined_loss(*batch, default_cfg(enable_ctl=False))
-    for (v_on, gl_on, gf), (v_off, gl_off, _) in zip(on, off):
-        assert v_on == v_off
+    for (gl_on, gf), (gl_off, _) in zip(on, off):
         assert np.array_equal(gl_on, gl_off)
         assert np.all(gf == 0.0)
+    assert combined_value(*batch, default_cfg()) == \
+        combined_value(*batch, default_cfg(enable_ctl=False))
 
 
 def test_combined_gradients_match_finite_differences_both_roles():
@@ -393,25 +401,26 @@ def test_combined_gradients_match_finite_differences_both_roles():
     b, c = zt.shape
     teacher, student = combined_loss(zt, zs, ft, fs, y, cfg)
     # each side's value is differentiated in its own inputs, the peer's held
-    fd_check(lambda z: combined_loss(z.reshape(b, c), zs, ft, fs, y, cfg)[0][0],
-             zt.ravel(), teacher[1].ravel())
-    fd_check(lambda a: combined_loss(zt, zs, a.reshape(ft.shape), fs, y, cfg)[0][0],
-             ft.ravel(), teacher[2].ravel())
-    fd_check(lambda z: combined_loss(zt, z.reshape(b, c), ft, fs, y, cfg)[1][0],
-             zs.ravel(), student[1].ravel())
-    fd_check(lambda a: combined_loss(zt, zs, ft, a.reshape(fs.shape), y, cfg)[1][0],
-             fs.ravel(), student[2].ravel())
+    fd_check(lambda z: combined_value(z.reshape(b, c), zs, ft, fs, y, cfg)[0],
+             zt.ravel(), teacher[0].ravel())
+    fd_check(lambda a: combined_value(zt, zs, a.reshape(ft.shape), fs, y, cfg)[0],
+             ft.ravel(), teacher[1].ravel())
+    fd_check(lambda z: combined_value(zt, z.reshape(b, c), ft, fs, y, cfg)[1],
+             zs.ravel(), student[0].ravel())
+    fd_check(lambda a: combined_value(zt, zs, ft, a.reshape(fs.shape), y, cfg)[1],
+             fs.ravel(), student[1].ravel())
 
 
 def test_combined_validates_shapes():
     rng = np.random.default_rng(11)
     zt, zs, ft, fs, y = random_batch(rng)
-    with pytest.raises(ValueError):
-        combined_loss(zt, zs[:2], ft, fs, y, default_cfg())
-    with pytest.raises(ValueError):
-        combined_loss(zt, zs, ft[:2], fs[:2], y, default_cfg())
-    with pytest.raises(ValueError):
-        combined_loss(zt, zs, ft, fs, y[:2], default_cfg())
+    for loss in (combined_loss, combined_value):
+        with pytest.raises(ValueError):
+            loss(zt, zs[:2], ft, fs, y, default_cfg())
+        with pytest.raises(ValueError):
+            loss(zt, zs, ft[:2], fs[:2], y, default_cfg())
+        with pytest.raises(ValueError):
+            loss(zt, zs, ft, fs, y[:2], default_cfg())
 
 
 @settings(max_examples=30)
@@ -422,6 +431,6 @@ def test_combined_finite_on_random_input(seed, nkd, ctl):
     batch = random_batch(rng)
     cfg = default_cfg(enable_nkd=nkd, enable_ctl=ctl,
                       tau=float(rng.uniform(0.2, 4.0)))
-    for v, gl, gf in combined_loss(*batch, cfg):
-        assert np.isfinite(v)
+    assert np.all(np.isfinite(combined_value(*batch, cfg)))
+    for gl, gf in combined_loss(*batch, cfg):
         assert np.all(np.isfinite(gl)) and np.all(np.isfinite(gf))

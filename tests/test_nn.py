@@ -106,6 +106,24 @@ def test_params_iadd_scaled():
     with pytest.raises(ValueError):
         params_iadd_scaled(c, ModelParams("mlp", [LayerParam("x", np.zeros(1))]), 1.0)
 
+    # a scale of +-1 adds or subtracts directly, with the bytes of the
+    # scaled form: signed zeros, subnormals and sums that overflow included
+    for dtype in (np.float32, np.float64):
+        big, tiny = np.finfo(dtype).max, np.finfo(dtype).smallest_subnormal
+        edge = np.array([0.0, -0.0, 0.0, -0.0, big, -big, big, tiny, -tiny, 1.0],
+                        dtype=dtype)
+        other = np.array([0.0, 0.0, -0.0, -0.0, big, big, -big, tiny, tiny, -1.0],
+                         dtype=dtype)
+        rng = np.random.default_rng(3)
+        for x, y in ((edge, other), (other, edge),
+                     (rng.normal(size=50).astype(dtype), rng.normal(size=50).astype(dtype))):
+            for scale in (1.0, -1.0):
+                dst = ModelParams("mlp", [LayerParam("x", x.copy())])
+                with np.errstate(over="ignore"):
+                    params_iadd_scaled(dst, ModelParams("mlp", [LayerParam("x", y)]), scale)
+                    want = x + scale * y
+                assert dst.layers[0].values.tobytes() == want.tobytes(), (dtype, scale)
+
 
 def test_model_copy_is_independent():
     model = build_mlp(4, 3, seed=1)

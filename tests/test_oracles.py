@@ -35,7 +35,7 @@ def test_one_fedavg_round_of_full_batches_is_one_central_step():
         central = server.student.copy()
         w0 = central.params.flatten()
         trace = forward(central, x, "train")
-        _, grad_logits = ce_batch(trace.logits, y)
+        grad_logits = ce_batch(trace.logits, y)
         params_iadd_scaled(central.params,
                            backward(central.params, trace, grad_logits), -server.student_lr)
 
@@ -65,7 +65,7 @@ def sgd_epochs(model, x, y, rng, epochs, batch_size, lr):
             idx = perm[start:start + batch_size]
             trace = forward(model, x[idx], "train")
             model.bn = trace.stats
-            _, grad_logits = ce_batch(trace.logits, y[idx])
+            grad_logits = ce_batch(trace.logits, y[idx])
             params_iadd_scaled(model.params, backward(model.params, trace, grad_logits), -lr)
 
 
