@@ -58,52 +58,35 @@ class PartitionSpec:
             raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
 
 
-def empty_dataset(n: int, window_shape: tuple[int, ...]) -> np.recarray:
-    """``n`` unfilled records: a float64 ``window`` of ``window_shape``
+def empty_dataset(n: int, window_shape: tuple[int, ...], dtype) -> np.recarray:
+    """``n`` unfilled records: a ``dtype`` ``window`` of ``window_shape``
     (channels, length), and the int64 ``label`` and ``subject``."""
-    fields = [("window", np.float64, window_shape),
+    fields = [("window", dtype, window_shape),
               ("label", np.int64),
               ("subject", np.int64)]
     return np.recarray(n, dtype=fields)
 
 
-def samples_to_xy(samples: np.recarray, dtype=np.float64,
-                  what: str = "shard") -> tuple[np.ndarray, np.ndarray]:
-    """A shard's records as (N, channels, length) ``dtype`` and (N,) int64.
-
-    The windows are finite, as the loaders check; one that holds a value
-    beyond ``dtype``'s range is refused, naming ``what`` and its subject,
-    rather than reaching the network as an infinity.
-    """
-    if len(samples) == 0:
-        raise DataError(f"{what} is empty")
-    with np.errstate(over="ignore"):
-        x = np.ascontiguousarray(samples.window, dtype)
-    out_of_range = ~np.isfinite(x).reshape(len(x), -1).all(axis=1)
-    if out_of_range.any():
-        subject = samples.subject[out_of_range.argmax()]
-        raise DataError(f"{what}: a window of subject {subject} holds a value beyond "
-                        f"the {x.dtype} range")
-    return x, np.ascontiguousarray(samples.label)
-
-
 # ------------------------------------------------------------------ loader
 
-def _read_matrix(path: str) -> np.ndarray:
+def _read_matrix(path: str, dtype) -> np.ndarray:
+    """The file's rows at ``dtype``, each value parsed as float64 and then
+    rounded; a value beyond ``dtype``'s range arrives as an infinity."""
     if not os.path.isfile(path):
         raise DataError(f"missing dataset file: {path}")
     try:
-        mat = np.loadtxt(path, dtype=np.float64, ndmin=2)
+        mat = np.loadtxt(path, dtype=dtype, ndmin=2)
     except ValueError as e:
         raise DataError(f"unreadable dataset file {path}: {e}") from e
     if not np.isfinite(mat).all():
-        raise DataError(f"{path}: non-finite value (NaN or Inf)")
+        raise DataError(f"{path}: non-finite value (NaN, Inf, or beyond the "
+                        f"{mat.dtype} range)")
     return mat
 
 
 def _read_ids(path: str) -> np.ndarray:
     """A label or subject file: one int64 integer per row."""
-    ids = _read_matrix(path).ravel()
+    ids = _read_matrix(path, np.float64).ravel()
     if not (ids == np.round(ids)).all():
         raise DataError(f"{path}: expected one integer per row")
     if not ((-2.0 ** 63 <= ids) & (ids < 2.0 ** 63)).all():
@@ -116,7 +99,8 @@ def load_ucihar(root: str) -> np.recarray:
 
     Nine channel files per split, one 128-column row per window, aligned
     row-wise with the label and subject files.  Labels come 1-based on disk,
-    one per activity.
+    one per activity.  Windows are stored at float32, the dtype in which the
+    HAR CNN computes and ships.
     """
     nested = os.path.join(root, "UCI HAR Dataset")
     if not os.path.isdir(os.path.join(root, "train")) and os.path.isdir(nested):
@@ -136,7 +120,7 @@ def load_ucihar(root: str) -> np.recarray:
                             f"{labels.size} labels, {subjects.size} subjects")
         ids.append((split, labels - 1, subjects))
     total = sum(labels.size for _, labels, _ in ids)
-    records = empty_dataset(total, (len(HAR_CHANNELS), 128))
+    records = empty_dataset(total, (len(HAR_CHANNELS), 128), np.float32)
     # each channel file is copied into place as it is read: no stacked copy
     start = 0
     for split, labels, subjects in ids:
@@ -147,7 +131,7 @@ def load_ucihar(root: str) -> np.recarray:
         signals = os.path.join(root, split, "Inertial Signals")
         for ch, name in enumerate(HAR_CHANNELS):
             path = os.path.join(signals, f"{name}_{split}.txt")
-            mat = _read_matrix(path)
+            mat = _read_matrix(path, np.float32)
             if mat.shape != (labels.size, 128):
                 raise DataError(f"{path}: expected {labels.size} rows of 128 columns, "
                                 f"got {mat.shape[0]} of {mat.shape[1]}")
@@ -177,14 +161,14 @@ def make_synthetic(num_classes: int, dims: int, samples_per_class: int,
     """Unit-variance Gaussian blobs with class means on a regular simplex,
     as a record array in class order.
 
-    Windows come out as (1, dims) rows for the dense-network path; the
+    Windows come out as (1, dims) float64 rows for the dense-network path; the
     subject id is the class index.  separation=0 degenerates to
     indistinguishable classes, which some robustness checks rely on.
     The caller has checked the settings, as ``config`` does: num_classes >=
     2, dims >= num_classes - 1, samples_per_class >= 1, separation >= 0.
     """
     means = _simplex_means(num_classes, dims, separation)
-    records = empty_dataset(num_classes * samples_per_class, (1, dims))
+    records = empty_dataset(num_classes * samples_per_class, (1, dims), np.float64)
     records.label = np.repeat(np.arange(num_classes), samples_per_class)
     records.subject = records.label
     # one draw of every class's points, in class order

@@ -19,8 +19,9 @@ from . import nn
 from .config import RunConfig
 from .losses import LossConfig
 
-CSV_COLUMNS = ("round", "strategy", "accuracy", "f1_macro", "recall_macro",
-               "auc_macro", "bytes_up", "bytes_down", "wall_seconds", "svd_fallbacks")
+# one row per round: every RoundRecord field but the participant list
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(fed.RoundRecord)
+                    if f.name != "participants")
 
 
 @dataclasses.dataclass
@@ -54,43 +55,40 @@ def _derive_shards(cfg: RunConfig
 def build_experiment(cfg: RunConfig) -> Experiment:
     """Materialize dataset, shards, models, and rng streams for one run.
 
-    The CNN computes in float32, the dtype its packets carry by default;
-    the MLP in float64.  Models, running statistics, client shards and the
-    evaluation set are built in that dtype once, here.
+    Everything computes in the dtype the loader stored the windows at:
+    float32 for the CNN on the sensor archive, the dtype its packets carry
+    by default, and float64 for the MLP on synthetic blobs.  Client shards
+    and the evaluation set are gathers of the loaded windows.
     """
     samples, shards, num_classes = _derive_shards(cfg)
 
     channels, length = samples.window.shape[1:]
     synthetic = cfg.dataset.kind == "synthetic"
-    dtype = np.float64 if synthetic else np.float32
 
     def make_model(*tags):
         seed = fed.derive_seed(cfg.seed, *tags)
         if synthetic:
             return nn.build_mlp(channels * length, num_classes, seed)
-        return nn.build_cnn_har(channels, length, num_classes, seed, dtype)
+        return nn.build_cnn_har(channels, length, num_classes, seed, samples.window.dtype)
 
     student = make_model(fed.STREAM_STUDENT_INIT)
     # averaging runs build no teacher; each teacher has its own stream, so no other moves
     distilling = cfg.strategy in fed._DISTILLING
 
     clients: dict[int, fed.ClientState] = {}
-    eval_x, eval_y = [], []
     for cid, shard in enumerate(shards):
-        x, y = data.samples_to_xy(samples[shard.train], dtype, f"client {cid} train shard")
+        if not shard.train.size:
+            raise data.DataError(f"client {cid} train shard is empty")
         clients[cid] = fed.ClientState(
             client_id=cid,
             teacher=make_model(fed.STREAM_TEACHER_INIT, cid) if distilling else None,
             student_view=student,
-            x_train=x, y_train=y,
+            x_train=samples.window[shard.train], y_train=samples.label[shard.train],
             rng=fed.derive_rng(cfg.seed, fed.STREAM_CLIENT, cid),
             teacher_lr=cfg.lr_teacher, student_lr=cfg.lr_student,
             batch_size=cfg.batch_size)
-        if shard.test.size:
-            tx, ty = data.samples_to_xy(samples[shard.test], dtype, f"client {cid} test shard")
-            eval_x.append(tx)
-            eval_y.append(ty)
-    if not eval_x:
+    test = np.concatenate([shard.test for shard in shards])
+    if not test.size:
         raise data.DataError("no test samples anywhere; lower train_fraction")
 
     loss_cfg = cfg.loss_config()
@@ -108,16 +106,8 @@ def build_experiment(cfg: RunConfig) -> Experiment:
         sampler_rng=fed.derive_rng(cfg.seed, fed.STREAM_SAMPLER))
 
     return Experiment(server=server, clients=clients, loss_cfg=loss_cfg,
-                      eval_x=np.concatenate(eval_x), eval_y=np.concatenate(eval_y),
+                      eval_x=samples.window[test], eval_y=samples.label[test],
                       num_classes=num_classes)
-
-
-def _format_cell(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def record_row(rec: fed.RoundRecord) -> list[str]:
-    return [_format_cell(getattr(rec, col)) for col in CSV_COLUMNS]
 
 
 # once per process: the code that runs is the code imported at its start
@@ -185,7 +175,7 @@ def run_experiment(cfg: RunConfig, out_dir: str, threads: int = 1) -> dict:
             except Exception as e:
                 raise RuntimeError(f"round {current} of {cfg.rounds}: {e}") from e
             records.append(rec)
-            writer.writerow(record_row(rec))
+            writer.writerow([getattr(rec, col) for col in CSV_COLUMNS])
             fh.flush()
 
     final = records[-1]

@@ -51,10 +51,6 @@ class LayerParam:
     name: str
     values: np.ndarray
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
-
 
 @dataclass
 class ModelParams:

@@ -362,16 +362,17 @@ def test_a_point_label_too_long_for_a_file_name_is_refused(tmp_path, capsys):
 CONFIG_DIR = Path(__file__).parent.parent / "scripts" / "configs"
 
 # the points each committed sweep config runs
-# the α study's averaging points train 5 local epochs, FEDPROX with mu 1.0
-ALPHA_LOCAL = {"FEDAVG": "local_epochs=5+",
-               "FEDPROX": "local_epochs=5+fedprox_mu=1.0+"}
+# the α study's FEDAVG trains 1 and 5 local epochs, FEDPROX 5 with mu 1.0
+ALPHA_LOCAL = {"FEDAVG": ["local_epochs=1+", "local_epochs=5+"],
+               "FEDPROX": ["local_epochs=5+fedprox_mu=1.0+"]}
 SWEEP_LABELS = {
     "sweep_join.yaml": [f"join_ratio=0.{k}" for k in range(2, 9)],
     "sweep_components.yaml": ["enable_nkd=false+enable_ctl=false",
                               "enable_nkd=true+enable_ctl=false",
                               "enable_nkd=true+enable_ctl=true"],
-    "sweep_alpha.yaml": [f"strategy={s}+{ALPHA_LOCAL.get(s, '')}partition.alpha={a}"
-                         for a in ("0.1", "0.5", "1.0") for s in STRATEGIES],
+    "sweep_alpha.yaml": [f"strategy={s}+{local}partition.alpha={a}"
+                         for a in ("0.1", "0.5", "1.0") for s in STRATEGIES
+                         for local in ALPHA_LOCAL.get(s, [""])],
 }
 
 

@@ -2,7 +2,9 @@ import os
 
 import numpy as np
 import pytest
+import yaml
 
+from fedkdx.cli import main
 from fedkdx.data import (
     HAR_CHANNELS,
     MODE_BY_SUBJECT,
@@ -15,11 +17,10 @@ from fedkdx.data import (
     load_ucihar,
     make_synthetic,
     partition,
-    samples_to_xy,
 )
 from fedkdx.data import _largest_remainder, _simplex_means, _stratified_split
 from fedkdx.experiment import build_experiment
-from helpers import make_config, write_fake_archive
+from helpers import SMALL_SYNTH, make_config, write_fake_archive
 
 
 # ---------------------------------------------------------------- synthetic
@@ -53,14 +54,12 @@ def test_make_synthetic_layout():
     for s in samples:
         assert s.window.shape == (1, 6)
         assert s.subject == s.label
-    x, y = samples_to_xy(samples)
-    assert x.shape == (150, 1, 6) and y.shape == (150,)
+    assert samples.window.shape == (150, 1, 6) and samples.label.shape == (150,)
 
 
 def test_make_synthetic_class_separation_controls_overlap():
     far = make_synthetic(3, 6, 200, separation=8.0, seed=1)
-    x, y = samples_to_xy(far)
-    x = x.reshape(len(far), -1)
+    x, y = far.window.reshape(len(far), -1), far.label
     mu = np.stack([x[y == c].mean(axis=0) for c in range(3)])
     d01 = np.linalg.norm(mu[0] - mu[1])
     assert abs(d01 - 8.0) < 0.5  # empirical means sit near the design points
@@ -70,9 +69,9 @@ def test_make_synthetic_class_separation_controls_overlap():
 
 
 def test_make_synthetic_is_seed_deterministic():
-    a, _ = samples_to_xy(make_synthetic(3, 6, 20, 3.0, seed=7))
-    b, _ = samples_to_xy(make_synthetic(3, 6, 20, 3.0, seed=7))
-    c, _ = samples_to_xy(make_synthetic(3, 6, 20, 3.0, seed=8))
+    a = make_synthetic(3, 6, 20, 3.0, seed=7).window
+    b = make_synthetic(3, 6, 20, 3.0, seed=7).window
+    c = make_synthetic(3, 6, 20, 3.0, seed=8).window
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     # one draw for all classes equals a draw per class, class by class
@@ -85,7 +84,7 @@ def test_make_synthetic_is_seed_deterministic():
 # ------------------------------------------------------------- partitioning
 
 def windowless(labels, subjects):
-    pool = empty_dataset(len(labels), (1, 2))
+    pool = empty_dataset(len(labels), (1, 2), np.float64)
     pool.window, pool.label, pool.subject = 0.0, labels, subjects
     return pool
 
@@ -234,7 +233,9 @@ def test_loaded_records_answer_the_recorded_sensor_gates_questions(tmp_path):
     assert [s.subject for s in samples] == disk["subject"].tolist()
     first = np.stack([np.loadtxt(os.path.join(root, "train", "Inertial Signals",
                                               f"{name}_train.txt"))[0] for name in HAR_CHANNELS])
-    assert np.array_equal(samples[0].window, first)
+    # stored at float32: the float64 parse of the file, rounded once
+    assert samples.window.dtype == np.float32
+    assert np.array_equal(samples[0].window, first.astype(np.float32))
     assert samples.dtype.fields["label"][0] == samples.dtype.fields["subject"][0] == np.int64
 
 
@@ -284,36 +285,35 @@ def test_load_ucihar_rejects_malformed_trees(tmp_path):
 
 
 @pytest.mark.parametrize("value", [1e39, -1e39])
-def test_a_sensor_value_beyond_float32_is_refused_at_build(tmp_path, value):
-    root = write_fake_archive(str(tmp_path), rows=(16, 8))
+def test_a_sensor_value_beyond_float32_is_refused_at_load(tmp_path, value, capsys):
+    root = write_fake_archive(str(tmp_path / "har"), rows=(16, 8))
     path = os.path.join(root, "train", "Inertial Signals", "body_gyro_x_train.txt")
     mat = np.loadtxt(path)
     mat[5, 40] = value
     np.savetxt(path, mat)
-    with open(os.path.join(root, "train", "subject_train.txt")) as fh:
-        subject = int(fh.read().split()[5])
-    # finite in float64, so the loader takes it; the CNN's float32 cast does not
-    assert len(load_ucihar(root)) == 24
-    cfg = make_config(dataset={"kind": "ucihar", "root": root},
-                      partition={"mode": "iid_shuffle", "num_clients": 3})
-    with pytest.raises(DataError, match=rf"client \d (train|test) shard: a window of subject "
-                                        rf"{subject} holds a value beyond the float32 range"):
+    # finite in float64, but the float32 the windows are stored at rounds it
+    # to an infinity: the loader refuses it and names the file
+    refusal = "body_gyro_x_train.txt: non-finite value (NaN, Inf, or beyond the float32 range)"
+    with pytest.raises(DataError) as err:
+        load_ucihar(root)
+    assert refusal in str(err.value)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"dataset": {"kind": "ucihar", "root": root},
+                                   "partition": {"mode": "iid_shuffle", "num_clients": 3}}))
+    for command in ("run", "partition"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert refusal in capsys.readouterr().err, command
+        assert list(out.iterdir()) == [], command
+
+
+def test_an_empty_train_shard_is_refused_at_build_naming_the_client():
+    # shards of 3, 2, 2 and 2 windows: a fifth of 2 rounds to no train window
+    cfg = make_config(dataset={**SMALL_SYNTH, "samples_per_class": 3},
+                      partition={"mode": "iid_shuffle", "num_clients": 4,
+                                 "train_fraction": 0.2})
+    with pytest.raises(DataError, match=r"^client 1 train shard is empty$"):
         build_experiment(cfg)
-
-
-def test_samples_to_xy_casts_once_and_checks_the_range():
-    samples = make_synthetic(3, 6, 4, 3.0, seed=0)
-    x64, y = samples_to_xy(samples)
-    x32, y32 = samples_to_xy(samples, np.float32)
-    assert x32.dtype == np.float32 and np.array_equal(x32, x64.astype(np.float32))
-    assert np.array_equal(y, y32)
-    samples.window[3] = 3.5e38
-    samples.subject[3] = 7
-    assert np.isfinite(samples_to_xy(samples)[0]).all()
-    with pytest.raises(DataError, match="probe: a window of subject 7 holds a value beyond"):
-        samples_to_xy(samples, np.float32, "probe")
-    with pytest.raises(DataError, match="probe is empty"):
-        samples_to_xy(samples[:0], np.float32, "probe")
 
 
 def test_class_count_table_counts_train_and_test():

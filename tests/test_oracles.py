@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fedkdx.federation import run_round
-from fedkdx.losses import ce_batch
+from fedkdx.losses import ce_batch, combined_loss
 from fedkdx.nn import backward, forward, params_iadd_scaled
 from helpers import SMALL_SYNTH, make_experiment, write_fake_archive
 
@@ -133,3 +133,76 @@ def test_one_averaging_client_keeps_the_sgd_running_statistics(har_root):
                 for name, want in central.bn.items():
                     tol = 4 * np.finfo(want.dtype).eps * np.abs(want).max()
                     assert np.abs(student.bn[name] - want).max() <= tol, name
+
+
+def mutual_distillation_epoch(teacher, student, x, y, rng, batch_size, teacher_lr, loss_cfg):
+    """One pass of mutual distillation in the batch order that ``rng``
+    draws: the teacher steps in place and keeps the running statistics each
+    forward returns; the student is only read.  Returns the mean of the
+    per-minibatch student gradients, summed in batch order."""
+    total, batches = student.params.zeros_like(), 0
+    perm = rng.permutation(len(y))
+    for start in range(0, len(y), batch_size):
+        idx = perm[start:start + batch_size]
+        t_tr = forward(teacher, x[idx], "train")
+        teacher.bn = t_tr.stats
+        s_tr = forward(student, x[idx], "eval")
+        (gl_t, gf_t), (gl_s, gf_s) = combined_loss(t_tr.logits, s_tr.logits, t_tr.features,
+                                                   s_tr.features, y[idx], loss_cfg)
+        params_iadd_scaled(teacher.params, backward(teacher.params, t_tr, gl_t, gf_t),
+                           -teacher_lr)
+        params_iadd_scaled(total, backward(student.params, s_tr, gl_s, gf_s), 1.0)
+        batches += 1
+    for layer in total.layers:
+        layer.values /= batches
+    return total
+
+
+def assert_bitwise_equal(got, want, what):
+    assert got.params.names() == want.params.names(), what
+    for g, w in zip(got.params.layers, want.params.layers):
+        assert g.values.dtype == w.values.dtype and np.array_equal(g.values, w.values), \
+            (what, g.name)
+    assert list(got.bn) == list(want.bn), what
+    for name, w in want.bn.items():
+        assert np.array_equal(got.bn[name], w), (what, name)
+
+
+@pytest.mark.filterwarnings(NO_POSITIVES)
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+def test_one_distilling_client_is_mutual_distillation(arch, har_root):
+    """One FEDKDX client holding every window, uncompressed: its teacher
+    follows a hand loop of mutual distillation over the same minibatches,
+    and the student takes one step of the mean student gradient a round.
+
+    The comparison is bitwise.  The loop makes the client's operations in
+    the client's order; a raw packet at the compute dtype (f64 on the MLP,
+    f32 on the CNN) carries the gradient exactly, both ways; and the one
+    client's weight is 1, so the server's average adds it to zeros, which
+    is exact.  Any other rounding is a defect of the round."""
+    if arch == "mlp":
+        data, windows = {"wire_precision": "f64"}, 3 * SMALL_SYNTH["samples_per_class"]
+    else:
+        data, windows = {"dataset": {"kind": "ucihar", "root": har_root}}, sum(HAR_ROWS)
+    exp = make_experiment(strategy="FEDKDX", join_ratio=1.0, compress=False, batch_size=20,
+                          partition={"mode": "iid_shuffle", "num_clients": 1}, **data)
+    server, (client,) = exp.server, exp.clients.values()
+    assert client.num_train + len(exp.eval_y) == windows
+    # the last minibatch is a short one
+    assert client.num_train % client.batch_size != 0
+    for _ in range(2):
+        teacher0, student0 = client.teacher.copy(), server.student.copy()
+        teacher, student = teacher0.copy(), student0.copy()
+        mean_grad = mutual_distillation_epoch(
+            teacher, student, client.x_train, client.y_train, copy.deepcopy(client.rng),
+            client.batch_size, client.teacher_lr, exp.loss_cfg)
+        params_iadd_scaled(student.params, mean_grad, -server.student_lr)
+
+        rec = run_round(server, exp.clients, exp.loss_cfg, exp.eval_x, exp.eval_y)
+        assert rec.participants == (client.client_id,)
+        assert_bitwise_equal(client.teacher, teacher, "teacher")
+        # only parameters travel: the student keeps its statistics
+        assert_bitwise_equal(server.student, student, "student")
+        # both models moved
+        for before, after in ((teacher0, teacher), (student0, student)):
+            assert not np.array_equal(before.params.flatten(), after.params.flatten())
