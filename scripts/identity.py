@@ -48,6 +48,12 @@ RUNS = {
                        {"rounds": 60, "wire_precision": "f64"}, None),
     "cnn_fedkdx": (None, {**CNN_FEDKDX, "rounds": 3}, "sensors8"),
     "cnn_fedavg": (None, {**CNN_FEDAVG, "rounds": 3}, "sensors24"),
+    # unequal shard weights and a multi-epoch private copy on the averaging path
+    "mlp_fedavg_e5": ("scripts/configs/sweep_alpha.yaml",
+                      {"strategy": "FEDAVG", "local_epochs": 5, "rounds": 30}, None),
+    "mlp_fedprox_e5": ("scripts/configs/sweep_alpha.yaml",
+                       {"strategy": "FEDPROX", "local_epochs": 5, "fedprox_mu": 1.0,
+                        "rounds": 30}, None),
 }
 THREADS = ("1", "2")
 BLAS_THREADS = ("1", "2")
@@ -72,6 +78,8 @@ def write_inputs(work: str) -> dict[str, str]:
         if base:
             with open(os.path.join(HERE, base)) as fh:
                 raw = yaml.safe_load(fh)
+        # a sweep file's base settings; its list of points is not run
+        raw.pop("sweep", None)
         raw.update(overrides, deterministic_timing=True)
         if tree:
             raw["dataset"] = {"kind": "ucihar", "root": os.path.join(work, tree)}

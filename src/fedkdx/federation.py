@@ -9,16 +9,23 @@ round with the reconstruction of the downlink packet; the codec round-trips
 bitwise, so that is exactly what a client decoding the downlink bytes would
 apply, and one copy stands for all.
 
+The server folds each uplink into the aggregate as it arrives, in
+ascending client order, and drops it before it takes the next; one uplink
+and one aggregate are alive at a time, so a round's memory does not grow
+with its participants.  ``run_round`` fixes every participant's weight
+before any client runs.
+
 Clients inside a round may execute on a thread pool.  ``forward`` and
 ``backward`` never write a model; a model's owner stores what they return.
 Each client owns its rng and, when distilling, its teacher, and only
 reads the shared student; the averaging strategies train a private copy.
-Aggregating in client-id order keeps results independent of thread count.
+Folding in client-id order keeps results independent of thread count.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -159,6 +166,8 @@ def client_local_step_fedkdx(state: ClientState, student: Model,
         if state.teacher_lr != 0.0:
             params_iadd_scaled(state.teacher.params, t_grad, -state.teacher_lr)
         params_iadd_scaled(grad_acc, backward(student.params, s_tr, gl_s, gf_s), 1.0)
+        # released before the next minibatch's forwards build their caches
+        del xb, t_tr, s_tr, gl_t, gf_t, gl_s, gf_s, t_grad
     for layer in grad_acc.layers:
         layer.values /= done
     return grad_acc
@@ -186,6 +195,8 @@ def client_local_step_fedavg(state: ClientState, prox_mu: float,
                 for g, w, w0 in zip(grad.layers, local.params.layers, start.layers):
                     g.values += prox_mu * (w.values - w0.values)
             params_iadd_scaled(local.params, grad, -state.student_lr)
+            # released before the next minibatch's forward builds its cache
+            del tr, grad
     # the private copy becomes the delta
     params_iadd_scaled(local.params, start, -1.0)
     return local.params
@@ -210,30 +221,39 @@ def _client_uplink(state: ClientState, server: ServerState, cfg: LossConfig,
     return encode_packet(pkt), fallbacks
 
 
-def server_aggregate(blobs: list[tuple[int, bytes]], server: ServerState,
-                     eps: float, weights: dict[int, float] | None = None,
-                     ) -> tuple[bytes, int]:
-    """Decode uplinks in ascending client order, average, update the shared
+def server_aggregate(uplinks: Iterable[tuple[int, bytes]], server: ServerState,
+                     eps: float, weights: dict[int, float]) -> tuple[bytes, int]:
+    """Fold the uplinks into the weighted aggregate, update the shared
     student, and produce the downlink bytes with their count of SVD
     fallbacks.
 
-    Distilling strategies average gradients unweighted and descend by the
-    student rate; averaging strategies blend parameter deltas by the given
-    weights and add the blend directly.  In both cases what the server
-    applies is the reconstruction of the downlink packet itself; its
-    entries already hold the wire-dtype arrays the bytes carry, so a client
-    decoding and applying those bytes lands on exactly the same parameters.
+    ``uplinks`` yields ``(client id, bytes)`` in ascending client order; that
+    order is the caller's contract, and it fixes the floating-point sum.
+    Each uplink is decoded, scaled by ``weights[cid]`` into the aggregate
+    and dropped before the next is taken, so one uplink and one aggregate
+    are alive at a time.  The student is written only once the last uplink
+    is folded: an undecodable one leaves it untouched.
+
+    Distilling strategies descend by the student rate along the aggregate
+    gradient; averaging strategies add the aggregate delta directly.  In
+    both cases what the server applies is the reconstruction of the
+    downlink packet itself; its entries already hold the wire-dtype arrays
+    the bytes carry, so a client decoding and applying those bytes lands on
+    exactly the same parameters.
     """
-    if not blobs:
-        raise RoundError("no uplink packets to aggregate")
     acc = server.student.params.zeros_like()
-    for cid, blob in sorted(blobs, key=lambda t: t[0]):
+    folded = 0
+    for cid, blob in uplinks:
         try:
             grad = decompress(decode_packet(blob), server.student.params)
         except ValueError as e:
             raise RoundError(f"client {cid}: undecodable uplink: {e}") from e
-        w = 1.0 / len(blobs) if weights is None else weights[cid]
-        params_iadd_scaled(acc, grad, w)
+        params_iadd_scaled(acc, grad, weights[cid])
+        folded += 1
+        # dropped before the next uplink is taken
+        del blob, grad
+    if not folded:
+        raise RoundError("no uplink packets to aggregate")
 
     down_pkt, down_fallbacks = _pack(acc, server, eps)
     down_blob = encode_packet(down_pkt)
@@ -287,6 +307,11 @@ def run_round(server: ServerState, clients: dict[int, ClientState], cfg: LossCon
     eps = dynamic_threshold(rho, server.policy)
 
     participants = sample_clients(sorted(clients), server.join_ratio, server.sampler_rng)
+    if server.strategy in _DISTILLING:
+        weights = {cid: 1.0 / len(participants) for cid in participants}
+    else:
+        total = sum(clients[cid].num_train for cid in participants)
+        weights = {cid: clients[cid].num_train / total for cid in participants}
 
     def one(cid: int) -> tuple[bytes, int]:
         try:
@@ -294,27 +319,31 @@ def run_round(server: ServerState, clients: dict[int, ClientState], cfg: LossCon
         except Exception as e:
             raise RoundError(f"client {cid}: {e}") from e
 
+    bytes_up = fallbacks = 0
+
+    def uplinks(pull: Callable[[int], tuple[bytes, int]]) -> Iterator[tuple[int, bytes]]:
+        # each participant's uplink in ascending order, counted as it passes
+        # and dropped here once the server has folded it
+        nonlocal bytes_up, fallbacks
+        for cid in participants:
+            blob, n = pull(cid)
+            bytes_up += len(blob)
+            fallbacks += n
+            yield cid, blob
+            del blob
+
     if threads == 1:
-        results = {cid: one(cid) for cid in participants}
+        down_blob, down_fallbacks = server_aggregate(uplinks(one), server, eps, weights)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = {cid: pool.submit(one, cid) for cid in participants}
-            results = {cid: f.result() for cid, f in futures.items()}
-
-    blobs = [(cid, results[cid][0]) for cid in participants]
-    bytes_up = sum(len(b) for _, b in blobs)
-    fallbacks = sum(results[cid][1] for cid in participants)
-
-    weights = None
-    if server.strategy not in _DISTILLING:
-        total = sum(clients[cid].num_train for cid in participants)
-        weights = {cid: clients[cid].num_train / total for cid in participants}
-
-    down_blob, down_fallbacks = server_aggregate(blobs, server, eps, weights)
+            down_blob, down_fallbacks = server_aggregate(
+                uplinks(lambda cid: futures.pop(cid).result()), server, eps, weights)
     fallbacks += down_fallbacks
 
     # every client receives the broadcast, participant or not
     bytes_down = len(down_blob) * len(clients)
+    del down_blob
 
     scores = evaluate(server.student, eval_x, eval_y)
     server.round_index += 1

@@ -1,5 +1,6 @@
 import copy
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,7 +235,7 @@ def test_distilling_aggregate_descends_by_the_mean():
     g2 = known_grads(student.params, 2.0)
     blobs = [(0, encode_packet(raw_packet(g1, policy))),
              (1, encode_packet(raw_packet(g2, policy)))]
-    down, _ = server_aggregate(blobs, server, eps=0.9)
+    down, _ = server_aggregate(blobs, server, eps=0.9, weights={0: 0.5, 1: 0.5})
     assert np.abs(student.params.flatten() - (w0 - 0.5 * 1.5)).max() < 1e-15
     assert len(down) > 0
 
@@ -266,14 +267,40 @@ def test_aggregate_rejects_undecodable_uplink():
     poisoned.layers[0].values[0, 0] = np.nan
     before = copy.deepcopy(student.params)
     with pytest.raises(RoundError, match="client 4"):
-        server_aggregate([(4, good[:-3])], server, eps=0.9)
+        server_aggregate([(4, good[:-3])], server, eps=0.9, weights={4: 1.0})
     with pytest.raises(RoundError, match="^client 4: undecodable uplink: "
                                          "layer 'fc1.w' has non-finite values$"):
         server_aggregate([(1, good), (4, encode_packet(raw_packet(poisoned, policy)))],
-                         server, eps=0.9)
+                         server, eps=0.9, weights={1: 0.5, 4: 0.5})
     assert params_equal(student.params, before)
     with pytest.raises(RoundError):
-        server_aggregate([], server, eps=0.9)
+        server_aggregate([], server, eps=0.9, weights={})
+
+
+def test_aggregate_pulls_each_uplink_once_in_the_given_order():
+    def fresh_server():
+        return ServerState(student=build_mlp(4, 3, seed=11), strategy=STRATEGY_FEDAVG,
+                           policy=CompressionPolicy(wire_precision="f64"), total_rounds=10,
+                           join_ratio=1.0, student_lr=0.5, compress=False,
+                           sampler_rng=derive_rng(0, fed.STREAM_SAMPLER))
+    listed, pulled = fresh_server(), fresh_server()
+    policy = listed.policy
+    blobs = [(cid, encode_packet(raw_packet(known_grads(listed.student.params, fill), policy)))
+             for cid, fill in ((2, 1.0), (5, -3.0), (7, 0.5))]
+    weights = {2: 0.5, 5: 0.3, 7: 0.2}
+    pulls = []
+
+    def uplinks():
+        for cid, blob in blobs:
+            pulls.append(cid)
+            yield cid, blob
+
+    stream = uplinks()
+    want = server_aggregate(blobs, listed, 0.9, weights)
+    assert server_aggregate(stream, pulled, 0.9, weights) == want
+    assert pulls == [2, 5, 7]
+    assert next(stream, None) is None
+    assert params_equal(pulled.student.params, listed.student.params)
 
 
 def test_a_server_needs_a_derived_sampler_stream():
@@ -313,6 +340,61 @@ def test_round_keeps_one_shared_student():
         assert exp.server.round_index == 5
 
 
+def test_round_folds_lazily_and_stops_at_an_undecodable_uplink(monkeypatch):
+    exp = make_experiment(rounds=2, join_ratio=1.0)
+    participants = sorted(exp.clients)
+    bad = participants[1]
+    later = participants[2:]
+    assert later
+    student = exp.server.student.copy()
+    rng_states = {cid: exp.clients[cid].rng.bit_generator.state for cid in later}
+    teachers = {cid: exp.clients[cid].teacher.copy() for cid in later}
+    ran = []
+    real = fed._client_uplink
+
+    def truncating(state, *args):
+        ran.append(state.client_id)
+        blob, fallbacks = real(state, *args)
+        return (blob[:-3] if state.client_id == bad else blob), fallbacks
+
+    monkeypatch.setattr(fed, "_client_uplink", truncating)
+    with pytest.raises(RoundError, match=f"^client {bad}: undecodable uplink"):
+        run_round(exp.server, exp.clients, exp.loss_cfg, exp.eval_x, exp.eval_y,
+                  measure_time=False)
+    assert ran == participants[:2]
+    assert params_equal(exp.server.student.params, student.params)
+    for cid in later:
+        assert exp.clients[cid].rng.bit_generator.state == rng_states[cid]
+        assert params_equal(exp.clients[cid].teacher.params, teachers[cid].params)
+
+
+def round_peak_bytes(join_ratio):
+    """The traced peak of one serial FEDAVG round over 8 equal MLP shards,
+    and the length of one uplink."""
+    exp = make_experiment(strategy="FEDAVG", join_ratio=join_ratio, compress=False,
+                          wire_precision="f64",
+                          partition={"mode": "iid_shuffle", "num_clients": 8})
+    assert len({st.num_train for st in exp.clients.values()}) == 1
+    uplink = len(encode_packet(raw_packet(exp.server.student.params, exp.server.policy)))
+    tracemalloc.start()
+    try:
+        rec = run_round(exp.server, exp.clients, exp.loss_cfg, exp.eval_x, exp.eval_y,
+                        measure_time=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.bytes_up == uplink * len(rec.participants)
+    return peak, uplink
+
+
+def test_round_memory_stays_flat_in_the_participant_count():
+    # the server folds each uplink as it arrives: 8 participants hold no
+    # more packets at once than 2 do
+    few, uplink = round_peak_bytes(0.25)
+    many, _ = round_peak_bytes(1.0)
+    assert abs(many - few) < uplink, (few, many, uplink)
+
+
 @pytest.mark.parametrize("strategy,compress", [("FEDKDX", True), ("FEDAVG", False)])
 def test_client_decode_of_the_downlink_reproduces_the_server(strategy, compress):
     exp = make_experiment(strategy=strategy, compress=compress, rounds=2,
@@ -321,7 +403,7 @@ def test_client_decode_of_the_downlink_reproduces_the_server(strategy, compress)
     before = server.student.copy()
     blobs = [(cid, fed._client_uplink(st, server, exp.loss_cfg, 0.7)[0])
              for cid, st in exp.clients.items()]
-    down, _ = server_aggregate(blobs, server, 0.7)
+    down, _ = server_aggregate(blobs, server, 0.7, {cid: 1.0 / len(blobs) for cid, _ in blobs})
 
     # what a client holding its own copy would do with the broadcast bytes
     pkt = decode_packet(down)
