@@ -10,8 +10,11 @@ output file, whether the parent's and this tree's are equal:
 ``metrics.csv`` and ``student.ckpt`` byte for byte, ``summary.json``
 without ``version``.  Exits 1 on any difference or failed run.
 
-The sensor trees come from ``bench/sensors.py``, imported without writing
-bytecode; everything the script writes goes to a temporary directory.
+The CNN runs and the synthetic FEDKDX runs take their settings and sensor
+trees from the bench's workloads (``bench/workloads.py``), with the round
+count and wire precision laid over them; ``bench/`` is imported without
+writing bytecode, and everything the script writes goes to a temporary
+directory.
 """
 
 from __future__ import annotations
@@ -27,27 +30,29 @@ import yaml
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# (subjects, windows per class) of the generated sensor trees
-TREES = {"sensors8": (8, 6), "sensors24": (24, 6)}
+# the bench's workload settings and the sensor generator, read without
+# writing bytecode under bench/
+sys.dont_write_bytecode = True
+sys.path.insert(0, os.path.join(HERE, "bench"))
+import sensors  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
-# the CNN settings of the bench's cnn_fedkdx and cnn_fedavg workloads
-CNN_FEDKDX = {"strategy": "FEDKDX", "seed": 0, "join_ratio": 0.5,
-              "lr_teacher": 0.03, "lr_student": 0.03, "batch_size": 32,
-              "compress": True, "eps_start": 0.9, "eps_end": 0.9,
-              "partition": {"mode": "by_subject", "num_clients": 4}}
-CNN_FEDAVG = {"strategy": "FEDAVG", "seed": 0, "join_ratio": 0.25,
-              "lr_teacher": 0.03, "lr_student": 0.03, "batch_size": 32,
-              "compress": False,
-              "partition": {"mode": "by_subject", "num_clients": 24}}
+
+def _workload(name: str, **overrides):
+    """A bench workload's (base config file or None, settings with
+    ``overrides`` laid over them, (subjects, windows per class) of its
+    sensor tree or None)."""
+    w = WORKLOADS[name]
+    tree = (w.sensor_subjects, w.sensor_per_class) if w.sensor_subjects else None
+    return w.base_config or None, {**w.config, **overrides}, tree
+
 
 # name -> (base config file or None, overrides, sensor tree or None)
 RUNS = {
-    "mlp_fedkdx_f32": ("scripts/configs/synthetic_fedkdx.yaml",
-                       {"rounds": 60, "wire_precision": "f32"}, None),
-    "mlp_fedkdx_f64": ("scripts/configs/synthetic_fedkdx.yaml",
-                       {"rounds": 60, "wire_precision": "f64"}, None),
-    "cnn_fedkdx": (None, {**CNN_FEDKDX, "rounds": 3}, "sensors8"),
-    "cnn_fedavg": (None, {**CNN_FEDAVG, "rounds": 3}, "sensors24"),
+    "mlp_fedkdx_f32": _workload("mlp_fedkdx", rounds=60, wire_precision="f32"),
+    "mlp_fedkdx_f64": _workload("mlp_fedkdx", rounds=60, wire_precision="f64"),
+    "cnn_fedkdx": _workload("cnn_fedkdx", rounds=3),
+    "cnn_fedavg": _workload("cnn_fedavg", rounds=3),
     # unequal shard weights and a multi-epoch private copy on the averaging path
     "mlp_fedavg_e5": ("scripts/configs/sweep_alpha.yaml",
                       {"strategy": "FEDAVG", "local_epochs": 5, "rounds": 30}, None),
@@ -67,11 +72,6 @@ CHILD = ("import sys, fedkdx.cli\n"
 
 def write_inputs(work: str) -> dict[str, str]:
     """Write the sensor trees and one config file per run; name -> path."""
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, os.path.join(HERE, "bench"))
-    import sensors
-    for tree, (subjects, per_class) in TREES.items():
-        sensors.write_tree(os.path.join(work, tree), 0, subjects, per_class)
     paths = {}
     for name, (base, overrides, tree) in RUNS.items():
         raw = {}
@@ -82,7 +82,10 @@ def write_inputs(work: str) -> dict[str, str]:
         raw.pop("sweep", None)
         raw.update(overrides, deterministic_timing=True)
         if tree:
-            raw["dataset"] = {"kind": "ucihar", "root": os.path.join(work, tree)}
+            root = os.path.join(work, "sensors{}x{}".format(*tree))
+            if not os.path.isdir(root):
+                sensors.write_tree(root, 0, *tree)
+            raw["dataset"] = {"kind": "ucihar", "root": root}
         paths[name] = os.path.join(work, f"{name}.yaml")
         with open(paths[name], "w") as fh:
             yaml.safe_dump(raw, fh, sort_keys=False)

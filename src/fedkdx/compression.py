@@ -35,11 +35,19 @@ class CompressionPolicy:
     wire_precision: str = "f32"
 
     def __post_init__(self):
-        for label, v in (("eps_start", self.eps_start), ("eps_end", self.eps_end)):
-            if not (0.0 < v <= 1.0):
-                raise ValueError(f"{label} must lie in (0, 1], got {v}")
-        if self.wire_precision not in WIRE_DTYPE:
-            raise ValueError(f"wire_precision must be f32 or f64, got {self.wire_precision!r}")
+        problems = self.problems(self)
+        if problems:
+            raise ValueError("; ".join(problems))
+
+    @staticmethod
+    def problems(s) -> list[str]:
+        """Each rule that ``s`` (any object with these fields) breaks, as ``field: message``."""
+        problems = [f"{label}: must lie in (0, 1], got {v}"
+                    for label, v in (("eps_start", s.eps_start), ("eps_end", s.eps_end))
+                    if not 0.0 < v <= 1.0]
+        if s.wire_precision not in WIRE_DTYPE:
+            problems.append(f"wire_precision: must be f32 or f64, got {s.wire_precision!r}")
+        return problems
 
 
 def dynamic_threshold(rho: float, policy: CompressionPolicy) -> float:

@@ -15,6 +15,7 @@ import re
 import sys
 import typing
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import yaml
 
@@ -169,22 +170,15 @@ def config_from_dict(raw: dict) -> RunConfig:
         problems.append("dataset.root: required for ucihar")
 
     part = _take_section(top.pop("partition", {}), data.PartitionSpec, "partition", problems)
-    try:
-        spec = data.PartitionSpec(**part)
-    except ValueError as e:
-        problems.append(str(e))
-        spec = data.PartitionSpec()
+    part_problems = data.PartitionSpec.problems(
+        SimpleNamespace(**{**dataclasses.asdict(data.PartitionSpec()), **part}))
+    problems += [f"partition.{p}" for p in part_problems]
+    spec = data.PartitionSpec() if part_problems else data.PartitionSpec(**part)
 
     # a missing kind is already reported; the placeholder names no kind, so
     # only the checks that need none run on the dataset
     cfg = RunConfig(dataset=DatasetConfig(**{"kind": "", **ds}), partition=spec, **top)
-    problems.extend(_range_problems(cfg))
-    # constructor-level validation of the derived objects
-    for build in (cfg.loss_config, cfg.policy):
-        try:
-            build()
-        except ValueError as e:
-            problems.append(str(e))
+    problems += _range_problems(cfg) + LossConfig.problems(cfg) + CompressionPolicy.problems(cfg)
     # a sweep that is not a list is already reported by its type
     if cfg.sweep is not None:
         problems += _sweep_problems(cfg, raw, problems)

@@ -47,15 +47,24 @@ class PartitionSpec:
     train_fraction: float = 0.8
 
     def __post_init__(self):
-        if self.mode not in (MODE_BY_SUBJECT, MODE_IID, MODE_DIRICHLET):
-            raise ValueError(f"unknown partition mode {self.mode!r}")
-        if self.num_clients < 1:
-            raise ValueError(f"num_clients must be >= 1, got {self.num_clients}")
-        if self.mode == MODE_DIRICHLET:
-            if self.alpha is None or not (self.alpha > 0):
-                raise ValueError(f"dirichlet mode needs alpha > 0, got {self.alpha}")
-        if not (0.0 < self.train_fraction < 1.0):
-            raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
+        problems = self.problems(self)
+        if problems:
+            raise ValueError("; ".join(problems))
+
+    @staticmethod
+    def problems(s) -> list[str]:
+        """Each rule that ``s`` (any object with these fields) breaks, as ``field: message``."""
+        problems = []
+        modes = (MODE_BY_SUBJECT, MODE_IID, MODE_DIRICHLET)
+        if s.mode not in modes:
+            problems.append(f"mode: must be one of {modes}, got {s.mode!r}")
+        if s.num_clients < 1:
+            problems.append(f"num_clients: must be >= 1, got {s.num_clients}")
+        if s.mode == MODE_DIRICHLET and (s.alpha is None or not s.alpha > 0):
+            problems.append(f"alpha: must be > 0 in dirichlet mode, got {s.alpha}")
+        if not 0.0 < s.train_fraction < 1.0:
+            problems.append(f"train_fraction: must lie in (0, 1), got {s.train_fraction}")
+        return problems
 
 
 def empty_dataset(n: int, window_shape: tuple[int, ...], dtype) -> np.recarray:

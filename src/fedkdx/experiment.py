@@ -85,8 +85,7 @@ def build_experiment(cfg: RunConfig) -> Experiment:
             student_view=student,
             x_train=samples.window[shard.train], y_train=samples.label[shard.train],
             rng=fed.derive_rng(cfg.seed, fed.STREAM_CLIENT, cid),
-            teacher_lr=cfg.lr_teacher, student_lr=cfg.lr_student,
-            batch_size=cfg.batch_size)
+            teacher_lr=cfg.lr_teacher, batch_size=cfg.batch_size)
     test = np.concatenate([shard.test for shard in shards])
     if not test.size:
         raise data.DataError("no test samples anywhere; lower train_fraction")

@@ -79,7 +79,6 @@ class ClientState:
     y_train: np.ndarray
     rng: np.random.Generator        # minibatch shuffles, owned exclusively
     teacher_lr: float
-    student_lr: float
     batch_size: int
 
     @property
@@ -173,9 +172,10 @@ def client_local_step_fedkdx(state: ClientState, student: Model,
     return grad_acc
 
 
-def client_local_step_fedavg(state: ClientState, prox_mu: float,
+def client_local_step_fedavg(state: ClientState, lr: float, prox_mu: float,
                              epochs: int = 1) -> ModelParams:
-    """Local SGD from the shared model; returns the parameter delta.
+    """Local SGD at step size ``lr`` from the shared model; returns the
+    parameter delta.
 
     A positive ``prox_mu`` adds the proximal pull toward the round-start
     parameters (the gradient of (mu/2)||W - W_start||^2); zero leaves the
@@ -194,7 +194,7 @@ def client_local_step_fedavg(state: ClientState, prox_mu: float,
             if prox_mu != 0.0:
                 for g, w, w0 in zip(grad.layers, local.params.layers, start.layers):
                     g.values += prox_mu * (w.values - w0.values)
-            params_iadd_scaled(local.params, grad, -state.student_lr)
+            params_iadd_scaled(local.params, grad, -lr)
             # released before the next minibatch's forward builds its cache
             del tr, grad
     # the private copy becomes the delta
@@ -216,7 +216,8 @@ def _client_uplink(state: ClientState, server: ServerState, cfg: LossConfig,
     if server.strategy in _DISTILLING:
         update = client_local_step_fedkdx(state, state.student_view, cfg)
     else:
-        update = client_local_step_fedavg(state, server.fedprox_mu, server.local_epochs)
+        update = client_local_step_fedavg(state, server.student_lr, server.fedprox_mu,
+                                          server.local_epochs)
     pkt, fallbacks = _pack(update, server, eps)
     return encode_packet(pkt), fallbacks
 

@@ -1,10 +1,9 @@
 """Dense kernels shared by the rest of the package.
 
 Everything here operates on plain numpy arrays.  The SVD is LAPACK's
-divide-and-conquer driver (``gesdd``, through numpy) with the QR-iteration
-driver (``gesvd``) as its fallback, and a fixed singular-vector sign
-convention so the factors do not depend on which driver ran.  Only the
-fallback needs scipy, which this module loads on the first gesdd failure.
+divide-and-conquer driver (``gesdd``, through numpy) with a fixed
+singular-vector sign convention; when it does not converge, the caller
+ships the matrix uncompressed.
 
 The softmax kernels compute in the dtype they are given; the SVD and the
 finite differences in float64.
@@ -18,7 +17,7 @@ import numpy as np
 
 
 class SvdNonConvergence(RuntimeError):
-    """Neither LAPACK driver converged on the matrix."""
+    """LAPACK's gesdd did not converge on the matrix."""
 
 
 def log_softmax_rows(logits: np.ndarray, tau: float) -> np.ndarray:
@@ -46,7 +45,7 @@ def thin_svd(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     entry positive (the first one on a tie), with the matching column of v
     flipped alongside.
 
-    Raises SvdNonConvergence when both LAPACK drivers fail.
+    Raises SvdNonConvergence when gesdd does not converge.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2:
@@ -60,31 +59,16 @@ def thin_svd(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("matrix must be finite (found NaN or Inf)")
 
     try:
-        u, sigma, vt = _lapack_svd(g, "gesdd")
-    except np.linalg.LinAlgError:
-        try:
-            u, sigma, vt = _lapack_svd(g, "gesvd")
-        except np.linalg.LinAlgError as e:
-            raise SvdNonConvergence(f"svd of a {p}x{q} matrix did not converge: {e}") from e
+        u, sigma, vt = np.linalg.svd(g, full_matrices=False)
+    except np.linalg.LinAlgError as e:
+        raise SvdNonConvergence(f"svd of a {p}x{q} matrix did not converge: {e}") from e
 
     pivot = np.abs(u).argmax(axis=0)
     signs = np.where(u[pivot, np.arange(q)] < 0, -1.0, 1.0)
-    # u Fortran- and v C-ordered, whichever driver ran: the f64 bits of a
-    # later product such as ``work @ v`` depend on the operands' layout
+    # u Fortran- and v C-ordered: the f64 bits of a later product such as
+    # ``work @ v`` depend on the operands' layout
     return (np.multiply(u, signs, order="F"), sigma,
             np.multiply(vt.T, signs, order="C"))
-
-
-def _lapack_svd(g: np.ndarray, driver: str):
-    """(u, sigma, vt) of the thin SVD of ``g`` by the named LAPACK driver;
-    raises np.linalg.LinAlgError when it does not converge."""
-    if driver == "gesdd":
-        return np.linalg.svd(g, full_matrices=False)
-    # scipy.linalg costs about 27 MiB and 300 modules to import, and only
-    # this fallback needs it, so a process loads it on the first gesdd failure
-    import scipy.linalg
-    return scipy.linalg.svd(g, full_matrices=False, lapack_driver=driver,
-                            check_finite=False)
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray,

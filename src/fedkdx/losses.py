@@ -58,14 +58,23 @@ class LossConfig:
     ctl_weight: float = 1.0
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
+        problems = self.problems(self)
+        if problems:
+            raise ValueError("; ".join(problems))
+
+    @staticmethod
+    def problems(s) -> list[str]:
+        """Each rule that ``s`` (any object with these fields) breaks, as ``field: message``."""
+        problems = []
+        if not s.tau > 0:
+            problems.append(f"tau: must be positive, got {s.tau}")
+        if not 0.0 <= s.gamma <= 1.0:
+            problems.append(f"gamma: must lie in [0, 1], got {s.gamma}")
         for name in ("kd_weight", "nkd_weight", "ctl_weight"):
-            w = getattr(self, name)
+            w = getattr(s, name)
             if not w >= 0:
-                raise ValueError(f"{name} must be non-negative, got {w}")
+                problems.append(f"{name}: must be non-negative, got {w}")
+        return problems
 
 
 def _as_logit_rows(a, name: str) -> np.ndarray:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedkdx import compression as cp
-from fedkdx import linalg
 from fedkdx.compression import (
     MODE_LOWRANK,
     MODE_LOWRANK_T,
@@ -164,16 +163,16 @@ def test_energy_bound_holds_per_entry():
 def test_svd_failure_falls_back_to_raw(monkeypatch):
     asked = []
 
-    def explode(g, driver):
-        asked.append(driver)
+    def explode(*args, **kwargs):
+        asked.append(args[0].shape)
         raise np.linalg.LinAlgError("SVD did not converge")
-    # both LAPACK drivers fail, so thin_svd raises SvdNonConvergence
-    monkeypatch.setattr(linalg, "_lapack_svd", explode)
+    # gesdd fails, so thin_svd raises SvdNonConvergence and the layer goes raw
+    monkeypatch.setattr(np.linalg, "svd", explode)
     g = np.random.default_rng(2).normal(size=(20, 4))
     pkt, svd_fallbacks = compress_gradient(grads_of([g, np.arange(3.0)]), 0.9,
                                            CompressionPolicy(wire_precision="f64"))
     assert svd_fallbacks == 1
-    assert asked == ["gesdd", "gesvd"]
+    assert len(asked) == 1
     assert all(e.mode == MODE_RAW for e in pkt.entries)
     out = decompress(pkt, grads_of([np.zeros_like(g), np.zeros(3)]).zeros_like())
     assert np.array_equal(out.get("layer0.w"), g)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from fedkdx.cli import main
+from fedkdx.data import PartitionSpec
 from fedkdx.config import (MAX_LABEL_BYTES, ConfigError, DatasetConfig, config_from_dict,
                            load_config, point_label, sweep_points)
 from fedkdx.experiment import (CSV_COLUMNS, build_experiment, run_experiment,
@@ -223,7 +224,27 @@ def test_a_missing_dataset_kind_hides_no_other_problem():
             problem,
             "strategy: must be one of ('FEDAVG', 'FEDPROX', 'FEDKD', 'FEDKDX'), got 'X'",
             "rounds: must be >= 1, got 0",
-            "eps_start must lie in (0, 1], got 0.0"]
+            "eps_start: must lie in (0, 1], got 0.0"]
+
+
+def test_every_problem_of_the_derived_objects_is_reported_with_its_path():
+    raw = {**fast_raw(), "tau": -1, "gamma": 2, "kd_weight": -1, "eps_start": 2,
+           "eps_end": 0, "wire_precision": "f16",
+           "partition": {"num_clients": 0, "train_fraction": 2}}
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert err.value.problems == [
+        "partition.num_clients: must be >= 1, got 0",
+        "partition.train_fraction: must lie in (0, 1), got 2.0",
+        "tau: must be positive, got -1.0",
+        "gamma: must lie in [0, 1], got 2.0",
+        "kd_weight: must be non-negative, got -1.0",
+        "eps_start: must lie in (0, 1], got 2.0",
+        "eps_end: must lie in (0, 1], got 0.0",
+        "wire_precision: must be f32 or f64, got 'f16'"]
+    # a direct caller still gets every problem at once
+    with pytest.raises(ValueError, match="^num_clients: .*; alpha: .*"):
+        PartitionSpec(mode="dirichlet", num_clients=0, alpha=None)
 
 
 def test_a_non_mapping_sweep_is_reported_once():
@@ -827,28 +848,38 @@ def counted_svd(g):
 compression.thin_svd = counted_svd
 assert cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
 assert factored, "the run compressed no matrix"
-print("run:", *sorted({m.split(".")[1] for m in sys.modules
-                       if m.startswith("scipy.") and not m.split(".")[1].startswith("_")}))
+print("run:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+gesdd = np.linalg.svd
 def no_gesdd(*args, **kwargs):
     raise np.linalg.LinAlgError("SVD did not converge")
-np.linalg.svd = no_gesdd
-g = np.random.default_rng(0).normal(size=(8, 4))
-u, s, v = linalg.thin_svd(g)
-assert np.allclose((u * s) @ v.T, g)
-print("fallback:", "scipy.linalg" in sys.modules)
+# gesdd fails inside every compression SVD; the build's own SVD still runs
+def failing_svd(g):
+    np.linalg.svd = no_gesdd
+    try:
+        return counted_svd(g)
+    finally:
+        np.linalg.svd = gesdd
+compression.thin_svd = failing_svd
+factored.clear()
+assert cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[3]]) == 0
+assert factored, "the run compressed no matrix"
+print("failed svd:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
 def test_the_run_path_loads_no_scipy_subpackage(tmp_path):
-    # numpy runs the gesdd SVD; scipy.linalg, about 27 MiB and 300 modules,
-    # loads only when gesdd fails, and no other subpackage loads at all
+    # scipy is a test dependency only: a run loads none of it, and neither
+    # does a run whose every SVD fails, as each such layer ships raw
     cfg_path = write_yaml(tmp_path, fast_raw())
     out = subprocess.run([sys.executable, "-c", _RUN_PATH_SCIPY, cfg_path,
-                          str(tmp_path / "out")], env=package_env(),
-                         check=True, timeout=120, capture_output=True, text=True)
+                          str(tmp_path / "out"), str(tmp_path / "failed")],
+                         env=package_env(), check=True, timeout=120,
+                         capture_output=True, text=True)
     lines = out.stdout.splitlines()
-    assert lines[-2].split() == ["run:"]
-    assert lines[-1].split() == ["fallback:", "True"]
+    assert lines[-3].split() == ["run:"]
+    assert lines[-1].split() == ["failed", "svd:"]
+    with open(tmp_path / "failed" / "metrics.csv", newline="") as f:
+        assert all(int(row["svd_fallbacks"]) > 0 for row in csv.DictReader(f))
 
 
 def test_cli_threads_flag(tmp_path, capsys):

@@ -31,7 +31,7 @@ from fedkdx.nn import (LayerParam, ModelParams, backward, build_cnn_har, build_m
 from helpers import make_experiment, params_equal, rel_err
 
 
-def tiny_client(seed=0, n=12, teacher_lr=0.05, student_lr=0.05, batch_size=4):
+def tiny_client(seed=0, n=12, teacher_lr=0.05, batch_size=4):
     rng = np.random.default_rng(seed)
     return ClientState(
         client_id=seed,
@@ -41,7 +41,6 @@ def tiny_client(seed=0, n=12, teacher_lr=0.05, student_lr=0.05, batch_size=4):
         y_train=rng.integers(0, 3, size=n),
         rng=np.random.default_rng(1000 + seed),
         teacher_lr=teacher_lr,
-        student_lr=student_lr,
         batch_size=batch_size,
     )
 
@@ -177,15 +176,15 @@ def test_empty_shard_raises():
     with pytest.raises(RoundError, match="empty training shard"):
         client_local_step_fedkdx(st, st.student_view.copy(), loss_cfg())
     with pytest.raises(RoundError):
-        client_local_step_fedavg(tiny_client(n=0), 0.0)
+        client_local_step_fedavg(tiny_client(n=0), 0.05, 0.0)
 
 
 # ----------------------------------------------------------- averaging step
 
 def test_fedavg_delta_matches_hand_sgd():
-    st = tiny_client(n=5, batch_size=5, student_lr=0.1)
+    st = tiny_client(n=5, batch_size=5)
     clone = copy.deepcopy(st)
-    delta = client_local_step_fedavg(st, 0.0)
+    delta = client_local_step_fedavg(st, 0.1, 0.0)
 
     from fedkdx.losses import ce_batch
     from fedkdx.nn import backward, params_iadd_scaled
@@ -200,17 +199,17 @@ def test_fedavg_delta_matches_hand_sgd():
 
 
 def test_zero_mu_is_bitwise_plain_averaging():
-    a = client_local_step_fedavg(tiny_client(seed=3), 0.0, epochs=2)
-    b = client_local_step_fedavg(tiny_client(seed=3), 0.0, epochs=2)
+    a = client_local_step_fedavg(tiny_client(seed=3), 0.05, 0.0, epochs=2)
+    b = client_local_step_fedavg(tiny_client(seed=3), 0.05, 0.0, epochs=2)
     assert np.array_equal(a.flatten(), b.flatten())
-    c = client_local_step_fedavg(tiny_client(seed=3), 0.01, epochs=2)
+    c = client_local_step_fedavg(tiny_client(seed=3), 0.05, 0.01, epochs=2)
     assert not np.array_equal(a.flatten(), c.flatten())
 
 
 def test_proximal_pull_shrinks_the_excursion():
     # keep lr * mu well under the SGD stability bound so the pull contracts
-    light = client_local_step_fedavg(tiny_client(seed=4, n=32), 0.0, epochs=5)
-    heavy = client_local_step_fedavg(tiny_client(seed=4, n=32), 10.0, epochs=5)
+    light = client_local_step_fedavg(tiny_client(seed=4, n=32), 0.05, 0.0, epochs=5)
+    heavy = client_local_step_fedavg(tiny_client(seed=4, n=32), 0.05, 10.0, epochs=5)
     assert np.linalg.norm(heavy.flatten()) < np.linalg.norm(light.flatten())
 
 
@@ -424,13 +423,13 @@ def test_client_steps_leave_the_shared_student_untouched():
                      student_view=student, x_train=rng.normal(size=(10, 2, 28)),
                      y_train=rng.integers(0, 3, size=10),
                      rng=np.random.default_rng(6), teacher_lr=0.05,
-                     student_lr=0.05, batch_size=4)
+                     batch_size=4)
     snapshot = student.copy()
     teacher_stats = st.teacher.bn
     client_local_step_fedkdx(st, st.student_view, loss_cfg())
     # the teacher, which the client owns, keeps the statistics its forwards return
     assert all(not np.array_equal(st.teacher.bn[k], v) for k, v in teacher_stats.items())
-    client_local_step_fedavg(st, prox_mu=0.1, epochs=2)
+    client_local_step_fedavg(st, 0.05, prox_mu=0.1, epochs=2)
     assert st.student_view is student
     assert params_equal(student.params, snapshot.params)
     assert sorted(student.bn) == sorted(snapshot.bn)

@@ -3,14 +3,18 @@ computation it reduces to, written here from the public ``nn`` and
 ``losses`` functions."""
 
 import copy
+import csv
 
 import numpy as np
 import pytest
 
+from fedkdx import compression
+from fedkdx.experiment import run_experiment
 from fedkdx.federation import run_round
+from fedkdx.linalg import SvdNonConvergence
 from fedkdx.losses import ce_batch, combined_loss
 from fedkdx.nn import backward, forward, params_iadd_scaled
-from helpers import SMALL_SYNTH, make_experiment, write_fake_archive
+from helpers import SMALL_SYNTH, make_config, make_experiment, write_fake_archive
 
 # the train and test rows of the CNN runs' recorded-sensor tree
 HAR_ROWS = (30, 6)
@@ -89,7 +93,7 @@ def one_client_rounds(arch, strategy, epochs, har_root, rounds=2):
         start = server.student.copy()
         central = start.copy()
         sgd_epochs(central, client.x_train, client.y_train, copy.deepcopy(client.rng),
-                   epochs, client.batch_size, client.student_lr)
+                   epochs, client.batch_size, server.student_lr)
         run_round(server, exp.clients, exp.loss_cfg, exp.eval_x, exp.eval_y)
         yield start, server.student, central
 
@@ -206,3 +210,28 @@ def test_one_distilling_client_is_mutual_distillation(arch, har_root):
         # both models moved
         for before, after in ((teacher0, teacher), (student0, student)):
             assert not np.array_equal(before.params.flatten(), after.params.flatten())
+
+
+def _svd_fails(g):
+    raise SvdNonConvergence("svd did not converge")
+
+
+@pytest.mark.parametrize("strategy", ["FEDKDX", "FEDKD"])
+def test_an_svd_failure_is_the_uncompressed_run(strategy, tmp_path, monkeypatch):
+    """When gesdd fails on every matrix, each layer ships raw: the run is
+    the ``compress: false`` run, with every fallback counted."""
+    raw_dir, failed_dir = tmp_path / "raw", tmp_path / "failed"
+    run_experiment(make_config(strategy=strategy, rounds=4, compress=False), str(raw_dir))
+    monkeypatch.setattr(compression, "thin_svd", _svd_fails)
+    run_experiment(make_config(strategy=strategy, rounds=4, compress=True), str(failed_dir))
+
+    def rows(out):
+        with open(out / "metrics.csv", newline="") as f:
+            return list(csv.DictReader(f))
+    want, got = rows(raw_dir), rows(failed_dir)
+    assert len(got) == 4
+    # 3 weight matrices x (2 uplinks + 1 downlink) a round
+    assert [row.pop("svd_fallbacks") for row in got] == ["9"] * 4
+    assert [row.pop("svd_fallbacks") for row in want] == ["0"] * 4
+    assert got == want
+    assert (failed_dir / "student.ckpt").read_bytes() == (raw_dir / "student.ckpt").read_bytes()
