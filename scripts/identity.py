@@ -53,6 +53,10 @@ RUNS = {
     "mlp_fedkdx_f64": _workload("mlp_fedkdx", rounds=60, wire_precision="f64"),
     "cnn_fedkdx": _workload("cnn_fedkdx", rounds=3),
     "cnn_fedavg": _workload("cnn_fedavg", rounds=3),
+    # the CNN's per-layer proximal pull, and its teacher step without NKD and CTL
+    "cnn_fedprox": _workload("cnn_fedavg", strategy="FEDPROX", local_epochs=2,
+                             fedprox_mu=0.1, rounds=2),
+    "cnn_fedkd": _workload("cnn_fedkdx", strategy="FEDKD", rounds=2),
     # unequal shard weights and a multi-epoch private copy on the averaging path
     "mlp_fedavg_e5": ("scripts/configs/sweep_alpha.yaml",
                       {"strategy": "FEDAVG", "local_epochs": 5, "rounds": 30}, None),

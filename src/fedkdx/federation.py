@@ -16,7 +16,8 @@ with its participants.  ``run_round`` fixes every participant's weight
 before any client runs.
 
 Clients inside a round may execute on a thread pool.  ``forward`` and
-``backward`` never write a model; a model's owner stores what they return.
+``backward`` never write a model; a model's owner stores what they return
+or, for ``backward``, what it hands over one layer at a time.
 Each client owns its rng and, when distilling, its teacher, and only
 reads the shared student; the averaging strategies train a private copy.
 Folding in client-id order keeps results independent of thread count.
@@ -36,7 +37,7 @@ from .compression import (CompressionPolicy, compress_gradient, decode_packet,
                           decompress, dynamic_threshold, encode_packet, raw_packet)
 from .linalg import softmax_rows
 from .losses import LossConfig, ce_batch, combined_loss
-from .nn import (Model, ModelParams, backward, forward, params_iadd_scaled,
+from .nn import (Model, ModelParams, backward, forward, iadd_scaled, params_iadd_scaled,
                  widest_row_bytes)
 
 STRATEGY_FEDAVG = "FEDAVG"
@@ -141,32 +142,44 @@ def client_local_step_fedkdx(state: ClientState, student: Model,
     """One local epoch of mutual distillation.
 
     Per minibatch: forward teacher (training mode) and student (evaluation
-    mode), evaluate both sides' objectives on those outputs, step the
-    teacher by its gradient, store its new running statistics, and
-    accumulate the student's gradient.  The teacher mutates in place; the
-    student is read-only here, its update arrives downlink.
+    mode, reading the teacher's conv1 patches), evaluate both sides'
+    objectives on those outputs, store the teacher's new running
+    statistics, then backpropagate each side, stepping the teacher and
+    accumulating the student's gradient one layer at a time as backward
+    hands it over.  A step holds one trace pair, one conv1 patch matrix,
+    the accumulator and at most one layer's gradient.  The teacher mutates
+    in place; the student is read-only here, its update arrives downlink.
 
     Returns the student gradient averaged over minibatches.
     """
     n = state.num_train
     if n == 0:
         raise RoundError("empty training shard")
+    teacher, lr = state.teacher.params, state.teacher_lr
     grad_acc = student.params.zeros_like()
+
+    def step_teacher(name: str, grad: np.ndarray) -> None:
+        if lr != 0.0:
+            iadd_scaled(teacher.get(name), grad, -lr)
+
+    def accumulate(name: str, grad: np.ndarray) -> None:
+        iadd_scaled(grad_acc.get(name), grad, 1.0)
+
     for done, idx in enumerate(_epoch_batches(n, state.batch_size, state.rng), 1):
         xb = state.x_train[idx]
         t_tr = forward(state.teacher, xb, "train")
         state.teacher.bn = t_tr.stats
-        s_tr = forward(student, xb, "eval")
+        s_tr = forward(student, xb, "eval", t_tr.caches.get("conv1"))
 
         (gl_t, gf_t), (gl_s, gf_s) = combined_loss(
             t_tr.logits, s_tr.logits, t_tr.features, s_tr.features,
             state.y_train[idx], cfg)
-        t_grad = backward(state.teacher.params, t_tr, gl_t, gf_t)
-        if state.teacher_lr != 0.0:
-            params_iadd_scaled(state.teacher.params, t_grad, -state.teacher_lr)
-        params_iadd_scaled(grad_acc, backward(student.params, s_tr, gl_s, gf_s), 1.0)
-        # released before the next minibatch's forwards build their caches
-        del xb, t_tr, s_tr, gl_t, gf_t, gl_s, gf_s, t_grad
+        backward(teacher, t_tr, gl_t, gf_t, take=step_teacher)
+        # released before the student's backward, and the student's trace
+        # before the next minibatch's forwards build their caches
+        del t_tr
+        backward(student.params, s_tr, gl_s, gf_s, take=accumulate)
+        del xb, s_tr, gl_t, gf_t, gl_s, gf_s
     for layer in grad_acc.layers:
         layer.values /= done
     return grad_acc
@@ -179,24 +192,29 @@ def client_local_step_fedavg(state: ClientState, lr: float, prox_mu: float,
 
     A positive ``prox_mu`` adds the proximal pull toward the round-start
     parameters (the gradient of (mu/2)||W - W_start||^2); zero leaves the
-    arithmetic bitwise identical to the plain variant.
+    arithmetic bitwise identical to the plain variant.  Each layer takes
+    its pull and its step as backward hands its gradient over, so a step
+    holds one trace, the private copy and at most one layer's gradient.
     """
     n = state.num_train
     if n == 0:
         raise RoundError("empty training shard")
     start = state.student_view.params
     local = state.student_view.copy()
+
+    def step(name: str, grad: np.ndarray) -> None:
+        w = local.params.get(name)
+        if prox_mu != 0.0:
+            grad += prox_mu * (w - start.get(name))
+        iadd_scaled(w, grad, -lr)
+
     for _ in range(epochs):
         for idx in _epoch_batches(n, state.batch_size, state.rng):
             tr = forward(local, state.x_train[idx], "train")
             local.bn = tr.stats
-            grad = backward(local.params, tr, ce_batch(tr.logits, state.y_train[idx]))
-            if prox_mu != 0.0:
-                for g, w, w0 in zip(grad.layers, local.params.layers, start.layers):
-                    g.values += prox_mu * (w.values - w0.values)
-            params_iadd_scaled(local.params, grad, -lr)
+            backward(local.params, tr, ce_batch(tr.logits, state.y_train[idx]), take=step)
             # released before the next minibatch's forward builds its cache
-            del tr, grad
+            del tr
     # the private copy becomes the delta
     params_iadd_scaled(local.params, start, -1.0)
     return local.params
@@ -266,8 +284,8 @@ def server_aggregate(uplinks: Iterable[tuple[int, bytes]], server: ServerState,
 
 
 # bound on the largest buffer one evaluation forward builds: the HAR CNN's
-# conv2 patches take 117 KiB a window, so 32 windows a chunk stay in cache;
-# a whole MLP evaluation set fits in one chunk
+# float32 conv2 patches take 58.5 KiB a window, so 64 windows a chunk stay
+# in cache; a whole MLP evaluation set fits in one chunk
 EVAL_BYTES = 4 << 20
 
 

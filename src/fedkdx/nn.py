@@ -5,7 +5,9 @@ Both architectures expose, per sample, the logits and a penultimate feature
 vector (the contrastive-alignment tap).  ``backward`` accepts simultaneous
 upstream gradients on logits and features and returns a gradient object
 with exactly the same layer structure as the parameters, which is what the
-compression codec and the server aggregation operate on.
+compression codec and the server aggregation operate on; or it hands each
+layer's gradient to a consumer as soon as that layer is done, so a training
+step never holds a whole gradient.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import math
 import operator
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,18 +112,23 @@ class ModelParams:
                                        for l in self.layers], dict(self.meta))
 
 
+def iadd_scaled(dst: np.ndarray, src: np.ndarray, scale: float) -> None:
+    """dst += scale * src, in place.  A scale of 1 or -1 adds or subtracts
+    directly: the same bits, without a scaled copy."""
+    if scale == 1.0:
+        dst += src
+    elif scale == -1.0:
+        dst -= src
+    else:
+        dst += scale * src
+
+
 def params_iadd_scaled(dst: ModelParams, src: ModelParams, scale: float) -> None:
-    """dst += scale * src, layer by layer, in place.  A scale of 1 or -1
-    adds or subtracts directly: the same bits, without a scaled copy."""
+    """dst += scale * src, layer by layer, in place."""
     if dst.names() != src.names():
         raise ValueError("parameter structures differ")
     for a, b in zip(dst.layers, src.layers):
-        if scale == 1.0:
-            a.values += b.values
-        elif scale == -1.0:
-            a.values -= b.values
-        else:
-            a.values += scale * b.values
+        iadd_scaled(a.values, b.values, scale)
 
 
 @dataclass
@@ -256,14 +264,16 @@ def build_mlp(in_dim: int, num_classes: int, seed: int) -> Model:
 
 # ---------------------------------------------------------------- forward
 
-def _conv1d(x, w, b):
+def _conv1d(x, w, b, cols=None):
     # x (B,C,L), w (F,C,K) -> out (B,F,Lout), cache of im2col patches
-    # (B,Lout,C*K).  One GEMM over batch x positions rows; a GEMM per
-    # window gave the same bits at every batch size probed (1-69, 96, 128
-    # and 200, both HAR conv shapes, float32 and float64, 1 and 2 threads)
+    # (B,Lout,C*K), built from x unless given.  One GEMM over batch x
+    # positions rows; a GEMM per window gave the same bits at every batch
+    # size probed (1-69, 96, 128 and 200, both HAR conv shapes, float32 and
+    # float64, 1 and 2 threads)
     f, c, k = w.shape
-    win = np.lib.stride_tricks.sliding_window_view(x, k, axis=2)  # (B,C,Lout,K)
-    cols = win.transpose(0, 2, 1, 3).reshape(x.shape[0], -1, c * k)
+    if cols is None:
+        win = np.lib.stride_tricks.sliding_window_view(x, k, axis=2)  # (B,C,Lout,K)
+        cols = win.transpose(0, 2, 1, 3).reshape(x.shape[0], -1, c * k)
     out = (cols.reshape(-1, c * k) @ w.reshape(f, -1).T).reshape(*cols.shape[:2], f) + b
     return out.transpose(0, 2, 1), cols
 
@@ -303,10 +313,11 @@ def _maxpool2(x):
     out = a.view(bits) & keep
     out |= b.view(bits) & ~keep
     out = out.view(x.dtype)
-    return out, (keep, out, x.shape[2])
+    return out, (keep, out > 0, x.shape[2])
 
 
-def forward(model: Model, x: np.ndarray, mode: str) -> ForwardTrace:
+def forward(model: Model, x: np.ndarray, mode: str,
+            conv1_patches: np.ndarray | None = None) -> ForwardTrace:
     """Run the network on a batch, as a pure function of (params, stats, x).
 
     mode="train" normalizes with batch statistics, and the trace's ``stats``
@@ -314,6 +325,11 @@ def forward(model: Model, x: np.ndarray, mode: str) -> ForwardTrace:
     the model's running statistics, and ``stats`` is its own mapping.
     Computes in the parameters' dtype, to which ``x`` is cast.  Checks the
     input's shape only: the loaders check its values at load.
+
+    ``conv1_patches``, CNN only, is another trace's ``caches["conv1"]`` for
+    the same batch: the first conv layer reads those im2col patches instead
+    of building its own, and both traces share the one array.  Its shape
+    and dtype are checked, its values are not.
     """
     if mode not in (MODE_TRAIN, MODE_EVAL):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -323,13 +339,21 @@ def forward(model: Model, x: np.ndarray, mode: str) -> ForwardTrace:
     stats = {} if mode == MODE_TRAIN else model.bn
 
     m = params.meta
+    if conv1_patches is not None and params.arch != ARCH_CNN:
+        raise ValueError(f"conv1 patches given to a {params.arch!r} network, which has no conv1")
     if params.arch == ARCH_CNN:
         if x.ndim != 3 or x.shape[1] != m["in_channels"] or x.shape[2] != m["in_length"]:
             raise ValueError(
                 f"expected input (B, {m['in_channels']}, {m['in_length']}), got {x.shape}")
+        if conv1_patches is not None:
+            want = (x.shape[0], m["in_length"] - CONV_KERNEL + 1, m["in_channels"] * CONV_KERNEL)
+            if conv1_patches.shape != want or conv1_patches.dtype != params.dtype:
+                raise ValueError(f"conv1 patches must be {want} {params.dtype}, got "
+                                 f"{conv1_patches.shape} {conv1_patches.dtype}")
         h = x
         for blk in ("1", "2"):
-            h, cols = _conv1d(h, params.get(f"conv{blk}.w"), params.get(f"conv{blk}.b"))
+            h, cols = _conv1d(h, params.get(f"conv{blk}.w"), params.get(f"conv{blk}.b"),
+                              conv1_patches if blk == "1" else None)
             caches[f"conv{blk}"] = cols
             h, caches[f"bn{blk}"], (nm, nv) = _bn_forward(
                 h, params.get(f"bn{blk}.gamma"), params.get(f"bn{blk}.beta"), mode,
@@ -411,10 +435,10 @@ def _maxpool2_backward(dout, cache):
     # positive, which is where the pooled value is; multiplying by that mask
     # keeps the sign of a zero as the ReLU's own mask does.  The forward's
     # bit masks then route each gradient to its pick and +0.0 to the other
-    keep, pooled, l = cache
+    keep, positive, l = cache
     b, f, lp = dout.shape
     keep = np.ascontiguousarray(keep)
-    bits = (dout * np.ascontiguousarray(pooled > 0)).view(keep.dtype)
+    bits = (dout * np.ascontiguousarray(positive)).view(keep.dtype)
     dx = np.zeros((b, f, l), dtype=dout.dtype)
     dx_bits = dx.view(keep.dtype)
     np.bitwise_and(bits, keep, out=dx_bits[:, :, 0:lp * POOL_WIDTH:2])
@@ -423,13 +447,21 @@ def _maxpool2_backward(dout, cache):
 
 
 def backward(params: ModelParams, trace: ForwardTrace, grad_logits: np.ndarray,
-             grad_features: np.ndarray | None = None) -> ModelParams:
+             grad_features: np.ndarray | None = None,
+             take: Callable[[str, np.ndarray], None] | None = None) -> ModelParams | None:
     """Backpropagate upstream gradients on logits (B, C) and optionally on
     the feature tap (B, H); returns gradients with the parameter structure.
 
     The feature gradient enters at the tap itself, downstream of the head,
     so a features-only upstream leaves the head weights untouched.  Both
     upstreams are cast to the parameters' dtype.
+
+    With a consumer ``take``, nothing is collected and None is returned:
+    backward calls ``take(name, grad)`` once per parameter, in reverse
+    layout order, as soon as that layer's weights have served the gradient
+    below it, so the consumer may update them in place.  Each handed array
+    is a new one, the consumer's to keep or overwrite, and holds the bits
+    the collected form returns for that layer.
     """
     if trace.layer_shapes != tuple(l.values.shape for l in params.layers) \
             or trace.arch != params.arch:
@@ -446,36 +478,42 @@ def backward(params: ModelParams, trace: ForwardTrace, grad_logits: np.ndarray,
             f"grad_features shape {grad_features.shape} != features {trace.features.shape}")
 
     caches = trace.caches
-    g: dict[str, np.ndarray] = {}
+    collected: dict[str, np.ndarray] = {}
+    hand = collected.__setitem__ if take is None else take
 
-    g["head.w"] = caches["head.in"].T @ grad_logits
-    g["head.b"] = grad_logits.sum(axis=0)
-    dh = grad_logits @ params.get("head.w").T + grad_features
+    def dense(name: str, dh: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        # the layer's gradients, then the one below it; the weights are
+        # handed over only once they have served it
+        dw, db = caches[f"{name}.in"].T @ dh, dh.sum(axis=0)
+        below = dh @ params.get(f"{name}.w").T if input_grad else None
+        hand(f"{name}.b", db)
+        hand(f"{name}.w", dw)
+        return below
 
+    dh = dense("head", grad_logits) + grad_features
     if params.arch == ARCH_CNN:
         dh = dh * caches["relu_fc2"]
-    g["fc2.w"] = caches["fc2.in"].T @ dh
-    g["fc2.b"] = dh.sum(axis=0)
-    dh = dh @ params.get("fc2.w").T
-    dh = dh * caches["relu_fc1"]
-    g["fc1.w"] = caches["fc1.in"].T @ dh
-    g["fc1.b"] = dh.sum(axis=0)
+    dh = dense("fc2", dh) * caches["relu_fc1"]
+    dh = dense("fc1", dh, input_grad=params.arch == ARCH_CNN)
 
     if params.arch == ARCH_CNN:
-        dh = dh @ params.get("fc1.w").T
         dh = dh.reshape(caches["conv_out_shape"])
         for blk in ("2", "1"):
             dh = _maxpool2_backward(dh, caches[f"pool{blk}"])
             dh, dgamma, dbeta = _bn_backward(dh, caches[f"bn{blk}"],
                                              params.get(f"bn{blk}.gamma"), trace.mode)
-            g[f"bn{blk}.gamma"] = dgamma
-            g[f"bn{blk}.beta"] = dbeta
+            hand(f"bn{blk}.beta", dbeta)
+            hand(f"bn{blk}.gamma", dgamma)
             # nothing upstream of the input batch needs its gradient
-            dh, g[f"conv{blk}.w"], g[f"conv{blk}.b"] = _conv1d_backward(
-                dh, caches[f"conv{blk}"], params.get(f"conv{blk}.w"), input_grad=blk == "2")
+            dh, dw, db = _conv1d_backward(dh, caches[f"conv{blk}"],
+                                          params.get(f"conv{blk}.w"), input_grad=blk == "2")
+            hand(f"conv{blk}.b", db)
+            hand(f"conv{blk}.w", dw)
 
+    if take is not None:
+        return None
     return ModelParams(params.arch,
-                       [LayerParam(l.name, g[l.name]) for l in params.layers],
+                       [LayerParam(l.name, collected[l.name]) for l in params.layers],
                        dict(params.meta))
 
 

@@ -394,6 +394,49 @@ def test_round_memory_stays_flat_in_the_participant_count():
     assert abs(many - few) < uplink, (few, many, uplink)
 
 
+def cnn_step_peak_mib(strategy, n):
+    """The traced peak of one CNN client step (after one untraced warm-up
+    step) on ``n`` random float32 HAR windows, at batch 32."""
+    rng = np.random.default_rng(7)
+    student = build_cnn_har(9, 128, 6, seed=1, dtype=np.float32)
+    state = ClientState(
+        client_id=0,
+        teacher=build_cnn_har(9, 128, 6, seed=2, dtype=np.float32)
+        if strategy == STRATEGY_FEDKDX else None,
+        student_view=student,
+        x_train=rng.normal(size=(n, 9, 128)).astype(np.float32),
+        y_train=rng.integers(0, 6, size=n),
+        rng=np.random.default_rng(8),
+        teacher_lr=0.03,
+        batch_size=32,
+    )
+
+    def step():
+        if strategy == STRATEGY_FEDKDX:
+            client_local_step_fedkdx(state, student, loss_cfg())
+        else:
+            client_local_step_fedavg(state, 0.03, 0.0)
+
+    step()
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+# the bench's shard sizes: 58 windows a cnn_fedkdx client, 29 a cnn_fedavg
+# one.  Each bound sits between a step holding whole gradients (and, when
+# distilling, two conv1 patch matrices), 18.4 and 10.65 MiB, and one that
+# holds at most one layer's gradient, 13.7 and 9.58 MiB
+@pytest.mark.parametrize("strategy, n, bound_mib",
+                         [(STRATEGY_FEDKDX, 58, 16.0), (STRATEGY_FEDAVG, 29, 10.1)])
+def test_a_cnn_client_step_holds_at_most_one_layers_gradient(strategy, n, bound_mib):
+    peak = cnn_step_peak_mib(strategy, n)
+    assert peak < bound_mib, peak
+
+
 @pytest.mark.parametrize("strategy,compress", [("FEDKDX", True), ("FEDAVG", False)])
 def test_client_decode_of_the_downlink_reproduces_the_server(strategy, compress):
     exp = make_experiment(strategy=strategy, compress=compress, rounds=2,

@@ -471,6 +471,78 @@ def test_backward_rejects_mismatched_trace():
         backward(other.params, tr, np.zeros((2, 3)))
 
 
+def param_bytes(p):
+    return [(l.name, l.values.dtype, l.values.tobytes()) for l in p.layers]
+
+
+def handover_case(arch, mode):
+    """A model, its trace of a random batch and upstream gradients."""
+    rng = np.random.default_rng(21)
+    if arch == "cnn":
+        model = build_cnn_har(9, 128, 6, seed=4, dtype=np.float32)
+        x = rng.normal(size=(8, 9, 128))
+    else:
+        model = build_mlp(6, 3, seed=4)
+        x = rng.normal(size=(8, 6))
+    tr = forward(model, x, mode)
+    return (model, tr, rng.normal(size=tr.logits.shape).astype(model.params.dtype),
+            rng.normal(size=tr.features.shape).astype(model.params.dtype))
+
+
+@pytest.mark.parametrize("arch, mode", [("cnn", "train"), ("cnn", "eval"), ("mlp", "train")])
+def test_backward_hands_each_layer_over_once_in_reverse_layout_order(arch, mode):
+    model, tr, gl, gf = handover_case(arch, mode)
+    want = backward(model.params, tr, gl, gf)
+    handed = []
+    assert backward(model.params, tr, gl, gf,
+                    take=lambda name, g: handed.append((name, g))) is None
+    assert [name for name, _ in handed] == model.params.names()[::-1]
+    for name, g in handed:
+        assert g.dtype == want.get(name).dtype, name
+        assert g.tobytes() == want.get(name).tobytes(), name
+
+    # a consumer that steps each layer in place as it is handed over lands
+    # where a step by the whole collected gradient does
+    stepped = model.params.copy()
+
+    def step(name, g):
+        w = stepped.get(name)
+        w += -0.1 * g
+
+    backward(stepped, tr, gl, gf, take=step)
+    whole = model.params.copy()
+    params_iadd_scaled(whole, want, -0.1)
+    assert param_bytes(stepped) == param_bytes(whole)
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_forward_reads_another_traces_conv1_patches_bit_for_bit(mode):
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(8, 9, 128)).astype(np.float32)
+    teacher = build_cnn_har(9, 128, 6, seed=5, dtype=np.float32)
+    student = build_cnn_har(9, 128, 6, seed=6, dtype=np.float32)
+    patches = forward(teacher, x, "train").caches["conv1"]
+    own = forward(student, x, mode)
+    shared = forward(student, x, mode, patches)
+    assert shared.caches["conv1"] is patches
+    assert shared.logits.tobytes() == own.logits.tobytes()
+    assert shared.features.tobytes() == own.features.tobytes()
+    gl, gf = rng.normal(size=own.logits.shape), rng.normal(size=own.features.shape)
+    assert param_bytes(backward(student.params, shared, gl, gf)) \
+        == param_bytes(backward(student.params, own, gl, gf))
+
+
+def test_forward_refuses_conv1_patches_that_do_not_fit():
+    x = np.random.default_rng(23).normal(size=(8, 9, 128)).astype(np.float32)
+    model = build_cnn_har(9, 128, 6, seed=5, dtype=np.float32)
+    patches = forward(model, x, "eval").caches["conv1"]
+    for bad in (patches[:7], patches[:, :-1], patches[:, :, :-1], patches.astype(np.float64)):
+        with pytest.raises(ValueError, match="conv1 patches"):
+            forward(model, x, "eval", bad)
+    with pytest.raises(ValueError, match="no conv1"):
+        forward(build_mlp(6, 3, seed=0), np.zeros((8, 6)), "eval", patches)
+
+
 # -------------------------------------------------------------- checkpoint
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
